@@ -56,19 +56,6 @@ def _probe_pairs(model: Model, radius: float, points_per_axis: int):
     return us, vs
 
 
-def _rescaled_sup_error(model: Model, x0: np.ndarray, lam: float,
-                        delta: float, us: np.ndarray, vs: np.ndarray,
-                        order: DerivOrder, limit_vals: np.ndarray) -> float:
-    window = SpectralWindow(lo=lam, hi=lam + delta)
-    scale = lam ** (-(model.dim - 1) - order.omega)
-    if isinstance(model, TorusModel):
-        vals = torus_pair_deriv_batch(model, window, (us - vs) / lam, order)
-    else:
-        vals = sphere_pair_deriv_batch(model, window, x0, us / lam,
-                                       vs / lam, order)
-    return float(np.max(np.abs(scale * vals - limit_vals)))
-
-
 def convergence_report(model: Model, x0, lambdas, delta: float, max_j: int,
                        max_k: int, probe_radius: float,
                        points_per_axis: int):
@@ -82,6 +69,19 @@ def convergence_report(model: Model, x0, lambdas, delta: float, max_j: int,
     us, vs = _probe_pairs(model, probe_radius, points_per_axis)
     diffs = us - vs
     reach = float(np.max(np.linalg.norm(diffs, axis=1)))
+    if isinstance(model, TorusModel):
+        # the torus kernel depends on u - v only: evaluate each distinct
+        # difference once and index back to the pairs
+        distinct, inverse = np.unique(diffs, axis=0, return_inverse=True)
+        inverse = inverse.reshape(-1)     # 2-D under numpy 2.0.0 only
+
+        def kernel(window, order, lam):
+            return torus_pair_deriv_batch(model, window, distinct / lam,
+                                          order)[inverse]
+    else:
+        def kernel(window, order, lam):
+            return sphere_pair_deriv_batch(model, window, x0, us / lam,
+                                           vs / lam, order)
     sups = {}
     for alpha in multi_indices(model.dim, max_j):
         for beta in multi_indices(model.dim, max_k):
@@ -91,8 +91,10 @@ def convergence_report(model: Model, x0, lambdas, delta: float, max_j: int,
             limit_vals = delta * limit_kernel_batch(model.dim, diffs, order,
                                                     quad)
             for lam in lambdas:
-                sups[(lam, alpha, beta)] = _rescaled_sup_error(
-                    model, x0, lam, delta, us, vs, order, limit_vals)
+                window = SpectralWindow(lo=lam, hi=lam + delta)
+                scale = lam ** (-(model.dim - 1) - order.omega)
+                sups[(lam, alpha, beta)] = float(np.max(np.abs(
+                    scale * kernel(window, order, lam) - limit_vals)))
     rows = []
     for lam in lambdas:
         for alpha in multi_indices(model.dim, max_j):
@@ -230,14 +232,16 @@ def main(argv=None) -> int:
         sub = subparsers.add_parser(kind)
         sub.add_argument("--config", required=True, help="INI config file")
         sub.add_argument("--out", required=True, help="output directory")
-        sub.add_argument("--threads", type=int, default=1,
-                         help="parallelism cap")
         sub.add_argument("--seed", type=int, default=None,
                          help="override the config seed")
+        if kind == "remainder":
+            sub.add_argument("--threads", type=int, default=1,
+                             help="parallelism cap for the remainder sweep")
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config, args.kind, seed_override=args.seed)
-        run(args.kind, config, Path(args.out), threads=max(1, args.threads))
+        run(args.kind, config, Path(args.out),
+            threads=max(1, getattr(args, "threads", 1)))
     except ConfigError as exc:
         _fail("validation", exc)
         return 2

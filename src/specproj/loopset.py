@@ -7,19 +7,18 @@ directions estimates the size of the loop set: measure zero on the flat
 torus (rational slopes only), everything on the round sphere (all great
 circles close), and somewhere in between on ellipsoids of revolution.
 
-Integration is fixed-step RK4 of the geodesic equation in a surface chart.
-Charts are polar parametrizations of the surface of revolution
-x^2 + y^2 + (z/c)^2 = 1 about the z axis (chart 0) or the x axis
-(chart 1); trajectories that approach a polar cap of their current chart
-are handed over to the other chart mid-flight, which keeps the equation
-regular everywhere.  The flat torus uses the trivial chart of R^2.
+Integration is fixed-step RK4 in ambient coordinates.  The sphere and the
+ellipsoids are the quadric x^T A x = 1 in R^3 with A = diag(1, 1, 1/c^2);
+the normal there is A x, and a unit-speed curve on it is a geodesic when
+its acceleration is normal, which fixes
 
-Accelerations come from the embedding: with chart map P, Jacobian J and
-second partials H, unit-speed geodesics satisfy
+    x'' = - (v^T A v / |A x|^2) A x,        v = x'.
 
-    (J^T J) q'' = - J^T (H_11 q1'^2 + 2 H_12 q1' q2' + H_22 q2'^2).
-
-Energy g(gamma', gamma') is tracked every step and must hold 1 to 1e-6.
+The state (x, v) has no poles or charts.  The flat torus integrates
+x'' = 0 in R^2 and measures distances modulo 2 pi.  Every step checks the
+energy | |v|^2 - 1 | and, on a quadric, the constraint | x^T A x - 1 |;
+both must stay within 1e-6.  Nothing projects back onto the surface, so
+the two guards measure the integration error itself.
 """
 
 from __future__ import annotations
@@ -31,13 +30,9 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-_SWITCH_MARGIN = 0.8     # |cos(polar angle)| beyond which we change chart
 _ENERGY_TOL = 1e-6
+_CONSTRAINT_TOL = 1e-6
 _MAX_STEP = 1e-3
-
-
-class ChartExitError(Exception):
-    """No chart can hold the current state (should be unreachable)."""
 
 
 @dataclass(frozen=True)
@@ -62,203 +57,84 @@ class SurfaceSpec:
         return 2 if self.kind == "torus" else 3
 
 
-# --------------------------------------------------------------------------
-# chart geometry for the surface of revolution
-# --------------------------------------------------------------------------
-
-def _rev_pos_jac(c: float, chart: int, a, b):
-    sa, ca = np.sin(a), np.cos(a)
-    sb, cb = np.sin(b), np.cos(b)
-    if chart == 0:
-        pos = np.stack([sa * cb, sa * sb, c * ca], axis=-1)
-        d1 = np.stack([ca * cb, ca * sb, -c * sa], axis=-1)
-        d2 = np.stack([-sa * sb, sa * cb, np.zeros_like(sa)], axis=-1)
-    else:
-        pos = np.stack([ca, sa * cb, c * sa * sb], axis=-1)
-        d1 = np.stack([-sa, ca * cb, c * ca * sb], axis=-1)
-        d2 = np.stack([np.zeros_like(sa), -sa * sb, c * sa * cb], axis=-1)
-    return pos, d1, d2
-
-
-def _rev_hessians(c: float, chart: int, a, b):
-    sa, ca = np.sin(a), np.cos(a)
-    sb, cb = np.sin(b), np.cos(b)
-    zero = np.zeros_like(sa)
-    if chart == 0:
-        h11 = np.stack([-sa * cb, -sa * sb, -c * ca], axis=-1)
-        h12 = np.stack([-ca * sb, ca * cb, zero], axis=-1)
-        h22 = np.stack([-sa * cb, -sa * sb, zero], axis=-1)
-    else:
-        h11 = np.stack([-ca, -sa * cb, -c * sa * sb], axis=-1)
-        h12 = np.stack([zero, -ca * sb, c * ca * cb], axis=-1)
-        h22 = np.stack([zero, -sa * cb, -c * sa * sb], axis=-1)
-    return h11, h12, h22
-
-
-def _rev_accel_single(c: float, chart: int, q: np.ndarray,
-                      qd: np.ndarray) -> np.ndarray:
-    _, d1, d2 = _rev_pos_jac(c, chart, q[:, 0], q[:, 1])
-    h11, h12, h22 = _rev_hessians(c, chart, q[:, 0], q[:, 1])
-    u = qd[:, 0:1]
-    v = qd[:, 1:2]
-    s = h11 * u * u + 2.0 * h12 * u * v + h22 * v * v
-    r1 = np.sum(d1 * s, axis=1)
-    r2 = np.sum(d2 * s, axis=1)
-    g11 = np.sum(d1 * d1, axis=1)
-    g12 = np.sum(d1 * d2, axis=1)
-    g22 = np.sum(d2 * d2, axis=1)
-    det = g11 * g22 - g12 * g12
-    acc = np.empty_like(qd)
-    acc[:, 0] = -(g22 * r1 - g12 * r2) / det
-    acc[:, 1] = -(g11 * r2 - g12 * r1) / det
-    return acc
-
-
-def _accel(surface: SurfaceSpec, charts: np.ndarray, q: np.ndarray,
-           qd: np.ndarray) -> np.ndarray:
+def _quadric(surface: SurfaceSpec) -> np.ndarray | None:
+    """Diagonal of A in x^T A x = 1, or None for the flat torus."""
     if surface.kind == "torus":
-        return np.zeros_like(qd)
-    c = surface.axis_c
-    if np.all(charts == charts[0]):
-        return _rev_accel_single(c, int(charts[0]), q, qd)
-    acc = np.empty_like(qd)
-    for ch in (0, 1):
-        idx = charts == ch
-        if np.any(idx):
-            acc[idx] = _rev_accel_single(c, ch, q[idx], qd[idx])
-    return acc
+        return None
+    return np.array([1.0, 1.0, 1.0 / surface.axis_c ** 2])
 
 
-def _positions(surface: SurfaceSpec, charts: np.ndarray,
-               q: np.ndarray) -> np.ndarray:
-    if surface.kind == "torus":
-        return q.copy()
-    c = surface.axis_c
-    if np.all(charts == charts[0]):
-        return _rev_pos_jac(c, int(charts[0]), q[:, 0], q[:, 1])[0]
-    out = np.empty((q.shape[0], 3))
-    for ch in (0, 1):
-        idx = charts == ch
-        if np.any(idx):
-            out[idx] = _rev_pos_jac(c, ch, q[idx, 0], q[idx, 1])[0]
-    return out
+def _accel(a: np.ndarray | None, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    if a is None:
+        return np.zeros_like(v)
+    ax = a * x
+    return -(np.sum(a * v * v, axis=1) / np.sum(ax * ax, axis=1))[:, None] * ax
 
 
-def _energy(surface: SurfaceSpec, charts: np.ndarray, q: np.ndarray,
-            qd: np.ndarray) -> np.ndarray:
-    if surface.kind == "torus":
-        return np.sum(qd * qd, axis=1)
-    c = surface.axis_c
-    out = np.empty(q.shape[0])
-    for ch in (0, 1):
-        idx = charts == ch
-        if np.any(idx):
-            _, d1, d2 = _rev_pos_jac(c, ch, q[idx, 0], q[idx, 1])
-            g11 = np.sum(d1 * d1, axis=1)
-            g12 = np.sum(d1 * d2, axis=1)
-            g22 = np.sum(d2 * d2, axis=1)
-            u, v = qd[idx, 0], qd[idx, 1]
-            out[idx] = g11 * u * u + 2.0 * g12 * u * v + g22 * v * v
-    return out
-
-
-def _chart_coords(c: float, chart: int, pos: np.ndarray) -> np.ndarray:
-    q = np.empty((pos.shape[0], 2))
-    if chart == 0:
-        q[:, 0] = np.arccos(np.clip(pos[:, 2] / c, -1.0, 1.0))
-        q[:, 1] = np.arctan2(pos[:, 1], pos[:, 0])
-    else:
-        q[:, 0] = np.arccos(np.clip(pos[:, 0], -1.0, 1.0))
-        q[:, 1] = np.arctan2(pos[:, 2] / c, pos[:, 1])
-    return q
-
-
-def _chart_velocity(c: float, chart: int, q: np.ndarray,
-                    v_emb: np.ndarray) -> np.ndarray:
-    _, d1, d2 = _rev_pos_jac(c, chart, q[:, 0], q[:, 1])
-    g11 = np.sum(d1 * d1, axis=1)
-    g12 = np.sum(d1 * d2, axis=1)
-    g22 = np.sum(d2 * d2, axis=1)
-    det = g11 * g22 - g12 * g12
-    b1 = np.sum(d1 * v_emb, axis=1)
-    b2 = np.sum(d2 * v_emb, axis=1)
-    qd = np.empty_like(q)
-    qd[:, 0] = (g22 * b1 - g12 * b2) / det
-    qd[:, 1] = (g11 * b2 - g12 * b1) / det
-    return qd
-
-
-def _polar_margin(c: float, chart: int, pos: np.ndarray) -> np.ndarray:
-    # |cos| of the polar angle in the given chart
-    return np.abs(pos[:, 2] / c) if chart == 0 else np.abs(pos[:, 0])
-
-
-def _switch_charts(surface: SurfaceSpec, charts: np.ndarray, q: np.ndarray,
-                   qd: np.ndarray) -> None:
-    """Move states whose polar margin degraded into the other chart."""
-    if surface.kind == "torus":
-        return
-    c = surface.axis_c
-    for ch in (0, 1):
-        idx = np.flatnonzero(charts == ch)
-        if idx.size == 0:
-            continue
-        pos, d1, d2 = _rev_pos_jac(c, ch, q[idx, 0], q[idx, 1])
-        bad = _polar_margin(c, ch, pos) > _SWITCH_MARGIN
-        if not np.any(bad):
-            continue
-        sel = idx[bad]
-        v_emb = d1[bad] * qd[sel, 0:1] + d2[bad] * qd[sel, 1:2]
-        other = 1 - ch
-        new_q = _chart_coords(c, other, pos[bad])
-        if np.any(_polar_margin(c, other,
-                                _rev_pos_jac(c, other, new_q[:, 0],
-                                             new_q[:, 1])[0]) > _SWITCH_MARGIN):
-            raise ChartExitError("state has no safe chart")
-        q[sel] = new_q
-        qd[sel] = _chart_velocity(c, other, new_q, v_emb)
-        charts[sel] = other
-
-
-def _rk4_step(surface: SurfaceSpec, charts: np.ndarray, q: np.ndarray,
-              qd: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    k1q = qd
-    k1v = _accel(surface, charts, q, qd)
-    k2q = qd + 0.5 * h * k1v
-    k2v = _accel(surface, charts, q + 0.5 * h * k1q, k2q)
-    k3q = qd + 0.5 * h * k2v
-    k3v = _accel(surface, charts, q + 0.5 * h * k2q, k3q)
-    k4q = qd + h * k3v
-    k4v = _accel(surface, charts, q + h * k3q, k4q)
-    q_new = q + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-    qd_new = qd + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return q_new, qd_new
+def _rk4_step(a: np.ndarray | None, x: np.ndarray, v: np.ndarray,
+              h: float) -> tuple[np.ndarray, np.ndarray]:
+    k1x = v
+    k1v = _accel(a, x, v)
+    k2x = v + 0.5 * h * k1v
+    k2v = _accel(a, x + 0.5 * h * k1x, k2x)
+    k3x = v + 0.5 * h * k2v
+    k3v = _accel(a, x + 0.5 * h * k2x, k3x)
+    k4x = v + h * k3v
+    k4v = _accel(a, x + h * k3x, k4x)
+    x_new = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+    v_new = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    return x_new, v_new
 
 
 def _base_frame(surface: SurfaceSpec, x0: np.ndarray):
-    """Embedded base point and orthonormal tangent frame at x0 (chart 0)."""
+    """Embedded base point and orthonormal tangent frame at x0.
+
+    x0 is (theta, phi) of the polar parametrization
+    (sin theta cos phi, sin theta sin phi, c cos theta) on the sphere and
+    ellipsoid; e1 follows d/dtheta and e2 completes the frame."""
     if surface.kind == "torus":
         return x0.copy(), np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    pos, d1, d2 = _rev_pos_jac(surface.axis_c, 0,
-                               np.array([x0[0]]), np.array([x0[1]]))
-    e1 = d1[0] / np.linalg.norm(d1[0])
-    e2 = d2[0] - np.dot(d2[0], e1) * e1
+    c = surface.axis_c
+    sa, ca = np.sin(x0[0]), np.cos(x0[0])
+    sb, cb = np.sin(x0[1]), np.cos(x0[1])
+    pos = np.array([sa * cb, sa * sb, c * ca])
+    d1 = np.array([ca * cb, ca * sb, -c * sa])
+    d2 = np.array([-sa * sb, sa * cb, 0.0])
+    e1 = d1 / np.linalg.norm(d1)
+    e2 = d2 - np.dot(d2, e1) * e1
     e2 /= np.linalg.norm(e2)
-    return pos[0], e1, e2
+    return pos, e1, e2
 
 
 def _launch(surface: SurfaceSpec, x0: np.ndarray, angles: np.ndarray):
-    """Initial chart states for unit-speed directions at the given angles."""
-    count = angles.shape[0]
+    """Embedded positions and unit velocities for the given launch angles."""
     base, e1, e2 = _base_frame(surface, x0)
-    xi = (np.cos(angles)[:, None] * e1[None, :]
-          + np.sin(angles)[:, None] * e2[None, :])
-    q = np.tile(np.asarray(x0, dtype=float), (count, 1))
-    if surface.kind == "torus":
-        return q, xi.copy(), np.zeros(count, dtype=np.int64), base
-    charts = np.zeros(count, dtype=np.int64)
-    qd = _chart_velocity(surface.axis_c, 0, q, xi)
-    return q, qd, charts, base
+    v = (np.cos(angles)[:, None] * e1[None, :]
+         + np.sin(angles)[:, None] * e2[None, :])
+    return np.tile(base, (angles.shape[0], 1)), v
+
+
+def _march(surface: SurfaceSpec, x: np.ndarray, v: np.ndarray, steps: int,
+           h: float):
+    """Take `steps` RK4 steps; yield (positions, max energy drift so far)
+    after each one.
+
+    Raises ArithmeticError once | |v|^2 - 1 | exceeds _ENERGY_TOL or
+    | x^T A x - 1 | exceeds _CONSTRAINT_TOL.
+    """
+    a = _quadric(surface)
+    drift = 0.0
+    for _ in range(steps):
+        x, v = _rk4_step(a, x, v, h)
+        drift = max(drift, float(np.max(np.abs(np.sum(v * v, axis=1) - 1.0))))
+        if drift > _ENERGY_TOL:
+            raise ArithmeticError(f"energy drift {drift:.3e} exceeds {_ENERGY_TOL}")
+        if a is not None:
+            level = float(np.max(np.abs(np.sum(a * x * x, axis=1) - 1.0)))
+            if level > _CONSTRAINT_TOL:
+                raise ArithmeticError(
+                    f"constraint drift {level:.3e} exceeds {_CONSTRAINT_TOL}")
+        yield x, drift
 
 
 def _wrap(rel: np.ndarray) -> np.ndarray:
@@ -285,26 +161,21 @@ def integrate_geodesic(surface: SurfaceSpec, x0, angle: float, t_max: float,
                        h: float = _MAX_STEP) -> GeodesicPath:
     """Integrate one unit-speed geodesic; returns the embedded path.
 
-    x0 is a chart-0 point (torus coordinates, or polar (theta, phi) for
-    sphere/ellipsoid), angle the launch direction in the tangent frame.
+    x0 is a torus point, or polar (theta, phi) on the sphere/ellipsoid;
+    angle is the launch direction in the tangent frame at x0.
     """
     if not (0 < h <= _MAX_STEP):
         raise ValueError(f"step must lie in (0, {_MAX_STEP}]")
     if t_max <= 0:
         raise ValueError("t_max must be > 0")
     x0 = np.asarray(x0, dtype=float)
-    q, qd, charts, _ = _launch(surface, x0, np.array([float(angle)]))
+    x, v = _launch(surface, x0, np.array([float(angle)]))
     steps = int(round(t_max / h))
     positions = np.empty((steps + 1, surface.embed_dim))
-    positions[0] = _positions(surface, charts, q)[0]
+    positions[0] = x[0]
     drift = 0.0
-    for step in range(steps):
-        q, qd = _rk4_step(surface, charts, q, qd, h)
-        _switch_charts(surface, charts, q, qd)
-        positions[step + 1] = _positions(surface, charts, q)[0]
-        drift = max(drift, abs(float(_energy(surface, charts, q, qd)[0]) - 1.0))
-        if drift > _ENERGY_TOL:
-            raise ArithmeticError(f"energy drift {drift:.3e} exceeds {_ENERGY_TOL}")
+    for step, (x, drift) in enumerate(_march(surface, x, v, steps, h), 1):
+        positions[step] = x[0]
     times = h * np.arange(steps + 1)
     return GeodesicPath(times=times, positions=positions,
                         max_energy_drift=drift)
@@ -374,17 +245,14 @@ def loopset_fraction(surface: SurfaceSpec, x0, n_directions: int,
     jitter = rng.random(n_directions)
     angles = TWO_PI * (np.arange(n_directions) + jitter) / n_directions
 
-    q, qd, charts, base = _launch(surface, x0, angles)
-    pos = _positions(surface, charts, q)
+    pos, v = _launch(surface, x0, angles)
+    base = pos[0]
     rel = _wrap(pos - base[None, :]) if surface.kind == "torus" else pos - base[None, :]
     min_d = np.full(n_directions, np.inf)
     ret_t = np.full(n_directions, -1.0)
     drift = 0.0
     steps = int(round(t_max / h))
-    for step in range(steps):
-        q, qd = _rk4_step(surface, charts, q, qd, h)
-        _switch_charts(surface, charts, q, qd)
-        new_pos = _positions(surface, charts, q)
+    for step, (new_pos, drift) in enumerate(_march(surface, pos, v, steps, h)):
         delta = new_pos - pos
         t0 = step * h
         if t0 + h >= t_min:
@@ -403,10 +271,6 @@ def loopset_fraction(surface: SurfaceSpec, x0, n_directions: int,
             hit = (ret_t < 0.0) & (d <= tol)
             if np.any(hit):
                 ret_t[hit] = seg_t0 + s[hit] * seg_len
-        energy = _energy(surface, charts, q, qd)
-        drift = max(drift, float(np.max(np.abs(energy - 1.0))))
-        if drift > _ENERGY_TOL:
-            raise ArithmeticError(f"energy drift {drift:.3e} exceeds {_ENERGY_TOL}")
         if surface.kind == "torus":
             rel = _wrap(rel + delta)
         else:

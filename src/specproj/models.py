@@ -106,13 +106,6 @@ class SpectralWindow:
         if not (self.hi > self.lo and math.isfinite(self.hi)):
             raise ValueError(f"window needs hi > lo, got ({self.lo}, {self.hi}]")
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def contains(self, freq: float) -> bool:
-        return self.lo < freq <= self.hi
-
 
 class ClusterRecord(NamedTuple):
     """One spherical-harmonic eigenspace."""
@@ -135,13 +128,6 @@ class ModeList:
         if self.vectors is not None:
             return int(self.vectors.shape[0])
         return sum(c.multiplicity for c in self.clusters)
-
-    def frequencies(self) -> np.ndarray:
-        if self.vectors is not None:
-            if self.vectors.shape[0] == 0:
-                return np.zeros(0)
-            return np.sqrt(np.sum(self.vectors.astype(float) ** 2, axis=1))
-        return np.array([c.frequency for c in self.clusters])
 
 
 def squared_norm_range(window: SpectralWindow) -> tuple[int, int]:

@@ -144,6 +144,17 @@ class TestExitStatuses:
                      "--out", str(tmp_path / "out")])
         assert code == 2
 
+    def test_threads_only_on_remainder(self, tmp_path, capsys):
+        # --threads is read by the remainder sweep only; argparse exits 2
+        # when another kind is given it
+        cfg = write_config(tmp_path, "l.cfg", LOOPSET_CFG)
+        with pytest.raises(SystemExit) as exc:
+            main(["loopset", "--config", cfg, "--out", str(tmp_path / "out"),
+                  "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestReports:
     def test_scaling_outputs(self, tmp_path):

@@ -2,9 +2,9 @@
 
 Oracles:
 - straight lines (torus) and great circles (sphere) in closed form;
-- the meridian ellipse on an ellipsoid of revolution, whose perimeter is
-  an arclength integral evaluated here with scipy (independent of the
-  package's own quadrature);
+- the meridian ellipse on an ellipsoid of revolution, whose perimeter and
+  arclength parametrization are evaluated here with scipy quad and brentq
+  (independent of the package's own quadrature);
 - a rational-direction enumeration for the flat torus: a direction loops
   within tolerance iff the covering-plane ray passes within tolerance of
   some nonzero lattice point 2 pi m reachable before t_max.
@@ -15,9 +15,10 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate as sintegrate
+from scipy import optimize as soptimize
 
+from specproj import loopset
 from specproj.loopset import (
-    ChartExitError,
     SurfaceSpec,
     closed_form_geodesic,
     integrate_geodesic,
@@ -79,7 +80,7 @@ class TestIntegration:
             assert path.max_energy_drift < 1e-9
 
     def test_sphere_geodesic_through_poles(self):
-        # meridian launch: must hand over between charts and stay exact
+        # meridian launch through both poles: must stay exact
         surface = SurfaceSpec(kind="sphere")
         x0 = np.array([0.5, 0.0])
         path = integrate_geodesic(surface, x0, 0.0, 6.5)
@@ -111,6 +112,32 @@ class TestIntegration:
         t_return = path.times[late][idx]
         assert dist[late][idx] < 5e-4
         assert t_return == pytest.approx(perimeter, abs=1e-3)
+
+    @pytest.mark.parametrize("c", [0.5, 2.0])
+    def test_ellipsoid_meridian_pointwise(self, c):
+        # launch angle 0 follows d/dtheta, so the geodesic is the meridian
+        # (sin a cos phi, sin a sin phi, c cos a) with a(t) fixed by the
+        # arclength int_theta0^a sqrt(cos^2 + c^2 sin^2) = t; it passes
+        # the pole a = pi before t = 3
+        theta0, phi = 1.0, 0.3
+        surface = SurfaceSpec(kind="ellipsoid", c=c)
+        path = integrate_geodesic(surface, np.array([theta0, phi]), 0.0, 3.0)
+
+        def arclength(a):
+            return sintegrate.quad(
+                lambda s: math.sqrt(math.cos(s) ** 2
+                                    + c * c * math.sin(s) ** 2),
+                theta0, a, epsabs=1e-12, epsrel=1e-12)[0]
+
+        for t in (0.5, 1.0, 2.0, 3.0):
+            idx = int(round(t / 1e-3))
+            t_step = path.times[idx]
+            a = soptimize.brentq(lambda a: arclength(a) - t_step, theta0,
+                                 theta0 + t_step / min(1.0, c) + 0.1,
+                                 xtol=1e-15, rtol=1e-15)
+            want = np.array([math.sin(a) * math.cos(phi),
+                             math.sin(a) * math.sin(phi), c * math.cos(a)])
+            assert np.linalg.norm(path.positions[idx] - want) < 1e-9
 
     def test_unit_speed_preserved_on_ellipsoid(self):
         surface = SurfaceSpec(kind="ellipsoid", c=0.6)
@@ -204,13 +231,24 @@ class TestLoopFraction:
             loopset_fraction(surface, np.zeros(2), 4, 0.05, 1e-3)
 
 
-class TestChartHandover:
+class TestGuards:
+    @pytest.mark.parametrize("name, what", [("_ENERGY_TOL", "energy"),
+                                            ("_CONSTRAINT_TOL", "constraint")])
+    def test_guard_raises_on_drift(self, monkeypatch, name, what):
+        # at tolerance 0 any round-off drift trips the guard
+        monkeypatch.setattr(loopset, name, 0.0)
+        surface = SurfaceSpec(kind="ellipsoid", c=1.5)
+        x0 = np.array([1.0, 0.3])
+        with pytest.raises(ArithmeticError, match=f"{what} drift .* exceeds"):
+            integrate_geodesic(surface, x0, 0.9, 0.5)
+        with pytest.raises(ArithmeticError, match=f"{what} drift .* exceeds"):
+            loopset_fraction(surface, x0, 8, 0.5, 1e-3)
+
+
+class TestPoleCrossing:
     def test_many_directions_cross_poles_cleanly(self):
-        # directions launched straight at the polar caps of chart 0
+        # directions launched straight at the poles of the (theta, phi) input
         surface = SurfaceSpec(kind="ellipsoid", c=0.8)
         est = loopset_fraction(surface, np.array([1.2, 0.0]), 16, 5.0, 1e-3,
                                seed=1)
         assert est.max_energy_drift <= 1e-6
-
-    def test_chart_exit_error_type_exists(self):
-        assert issubclass(ChartExitError, Exception)
