@@ -2,8 +2,13 @@
 """Run every example config in scripts/configs and collect the outputs.
 
 Usage: python3 scripts/run_all.py [outdir]
+
+Each CSV/JSONL output is listed with its sha256, so two runs' listings
+`diff` clean exactly when their outputs are byte-identical (manifest.json
+holds the wall time and is listed without one).
 """
 
+import hashlib
 import sys
 from pathlib import Path
 
@@ -17,14 +22,18 @@ def run_all(out_root: Path) -> int:
     for cfg in sorted(CONFIG_DIR.glob("*.cfg")):
         kind = cfg.stem
         out_dir = out_root / kind
-        print(f"== {kind}: {cfg.name} -> {out_dir}")
+        print(f"== {kind}: {cfg.name}")
         code = main([kind, "--config", str(cfg), "--out", str(out_dir)])
         if code != 0:
             print(f"   exited with status {code}", file=sys.stderr)
             worst = max(worst, code)
         else:
             for produced in sorted(out_dir.iterdir()):
-                print(f"   wrote {produced.name}")
+                line = f"   wrote {produced.name}"
+                if produced.suffix in (".csv", ".jsonl"):
+                    digest = hashlib.sha256(produced.read_bytes()).hexdigest()
+                    line += f" sha256={digest}"
+                print(line)
     return worst
 
 

@@ -158,7 +158,7 @@ def _run_randomwave(config: RandomwaveConfig, out_dir: Path) -> list[str]:
     offsets = ProbeGrid(radius=config.probe_radius,
                         points_per_axis=config.points_per_axis).offsets(
                             model.dim)
-    grid = np.stack([exp_map(model, x0, offset) for offset in offsets])
+    grid = exp_map(model, x0, offsets)
     ensemble = sample_ensemble(model, config.window, config.samples,
                                config.seed, grid)
     write_csv(out_dir / "randomwave_summary.csv",

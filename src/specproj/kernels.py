@@ -18,9 +18,13 @@ whose radial profile is an elementary Bessel function.  The volume term of
 the cumulative kernel (ball_kernel) has both a Bessel closed form and an
 independent adaptive-quadrature route; both are kept on purpose.
 
-Derivatives: torus kernels are differentiated term by term (exact trig
-factors), sphere kernels by central finite differences with one Richardson
-extrapolation level in normal coordinates.
+Derivatives: one mechanism and one batched evaluator per model.  Torus
+kernels are differentiated term by term (exact trig factors) in
+torus_pair_deriv_batch.  Sphere kernels go through sphere_fd_batch:
+central finite differences with one Richardson extrapolation level in
+normal coordinates, applied to any profile of t = <x, y>, with every
+stencil point of every row in one sweep.  The scalar entry points are
+one-row calls of these.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .models import (
     SpectralWindow,
     TorusModel,
     exp_map,
-    distance,
     sphere_clusters,
     torus_modes,
     torus_separation,
@@ -146,7 +149,8 @@ def _torus_deriv_sum(vectors: np.ndarray, diffs: np.ndarray,
     return out
 
 
-def _sphere_coeffs(modes: ModeList) -> np.ndarray:
+def sphere_coeffs(modes: ModeList) -> np.ndarray:
+    """Legendre coefficients (2l+1)/(4pi) of a window's clusters, by degree."""
     if not modes.clusters:
         return np.zeros(0)
     lmax = max(c.ell for c in modes.clusters)
@@ -154,14 +158,6 @@ def _sphere_coeffs(modes: ModeList) -> np.ndarray:
     for c in modes.clusters:
         coeffs[c.ell] = c.multiplicity / (4.0 * math.pi)
     return coeffs
-
-
-def _sphere_kernel_values(coeffs: np.ndarray, xs: np.ndarray,
-                          ys: np.ndarray) -> np.ndarray:
-    if coeffs.size == 0:
-        return np.zeros(xs.shape[0])
-    t = np.clip(np.sum(xs * ys, axis=1), -1.0, 1.0)
-    return legendre_weighted_sum(coeffs, t)
 
 
 # --------------------------------------------------------------------------
@@ -208,31 +204,35 @@ def _tensor_stencil(alpha: tuple[int, ...], beta: tuple[int, ...]):
     return tuple(points)
 
 
-def _fd_apply(batch_eval, u0: np.ndarray, v0: np.ndarray,
-              order: DerivOrder, h: float = FD_STEP) -> float:
-    """Central-difference derivative with one Richardson level.
+def sphere_fd_batch(model: SphereModel, xu, xv, profile, us, vs,
+                    order: DerivOrder) -> np.ndarray:
+    """Derivatives of profile(<exp_xu(u), exp_xv(v)>) at offset rows us, vs.
 
-    batch_eval takes arrays (S, dim), (S, dim) of u and v offsets and
-    returns kernel values (S,).  Per-coordinate orders are limited to 2 in
-    a single multi-index entry (enough for omega <= 4 mixed derivatives).
+    xu and xv are base points, one for all rows or one per row; alpha acts
+    on u and beta on v in their normal coordinates.  Orders above zero use
+    central differences (step FD_STEP, one Richardson level), and every
+    stencil point of every row goes through one profile sweep.
     """
-    if order.omega == 0:
-        return float(batch_eval(u0[None, :], v0[None, :])[0])
+    us = np.asarray(us, dtype=float)
+    vs = np.asarray(vs, dtype=float)
 
+    def sweep(u, v):
+        t = np.sum(exp_map(model, xu, u) * exp_map(model, xv, v), axis=-1)
+        return profile(np.clip(t, -1.0, 1.0))
+
+    if order.omega == 0:
+        return sweep(us, vs)
     stencil = _tensor_stencil(order.alpha, order.beta)
+    coeffs = np.array([c for _, _, c in stencil])
+    du = np.array([du for du, _, _ in stencil], dtype=float)[:, None, :]
+    dv = np.array([dv for _, dv, _ in stencil], dtype=float)[:, None, :]
 
     def value(step):
-        us = np.array([u0 + step * np.asarray(du, dtype=float)
-                       for du, _, _ in stencil])
-        vs = np.array([v0 + step * np.asarray(dv, dtype=float)
-                       for _, dv, _ in stencil])
-        coeffs = np.array([c for _, _, c in stencil])
-        vals = batch_eval(us, vs)
-        return float(np.dot(coeffs, vals)) / step ** order.omega
+        # (stencil, rows) values, combined along the stencil axis
+        vals = sweep(us + step * du, vs + step * dv)
+        return (coeffs @ vals) / step ** order.omega
 
-    coarse = value(h)
-    fine = value(0.5 * h)
-    return (4.0 * fine - coarse) / 3.0
+    return (4.0 * value(0.5 * FD_STEP) - value(FD_STEP)) / 3.0
 
 
 # --------------------------------------------------------------------------
@@ -244,28 +244,19 @@ def projector_kernel(model: Model, window: SpectralWindow, x, y) -> float:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if isinstance(model, TorusModel):
-        modes = torus_modes(model, window)
-        if modes.count == 0:
-            return 0.0
-        diff = (x - y)[None, :]
-        val = _torus_deriv_sum(modes.vectors, diff,
-                               (0,) * model.n, (0,) * model.n)[0]
-        return float(val) / model.volume
-    modes = sphere_clusters(model, window)
-    if modes.count == 0:
-        return 0.0
-    coeffs = _sphere_coeffs(modes)
-    return float(_sphere_kernel_values(coeffs, x[None, :], y[None, :])[0])
+        return float(torus_pair_deriv_batch(model, window, (x - y)[None, :],
+                                            DerivOrder.zero(model.n))[0])
+    coeffs = sphere_coeffs(sphere_clusters(model, window))
+    return float(legendre_weighted_sum(coeffs,
+                                       np.clip(np.sum(x * y), -1.0, 1.0)))
 
 
 def projector_kernel_deriv(model: Model, window: SpectralWindow, x0,
                            u, v, order: DerivOrder) -> float:
     """Derivative of E_window(exp_x0(u), exp_x0(v)) at the given offsets.
 
-    alpha acts on u, beta on v, both in normal coordinates at x0.  Torus
-    derivatives are exact term-by-term trig factors; sphere derivatives use
-    central finite differences (step 1e-4, one Richardson level) of the
-    exact cluster sum.
+    alpha acts on u, beta on v, both in normal coordinates at x0.  This is
+    a one-row call of torus_pair_deriv_batch or sphere_pair_deriv_batch.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -275,24 +266,10 @@ def projector_kernel_deriv(model: Model, window: SpectralWindow, x0,
     if np.linalg.norm(u) >= inj or np.linalg.norm(v) >= inj:
         raise ValueError("offsets must stay below the injectivity radius")
     if isinstance(model, TorusModel):
-        modes = torus_modes(model, window)
-        if modes.count == 0:
-            return 0.0
-        diff = (u - v)[None, :]
-        val = _torus_deriv_sum(modes.vectors, diff, order.alpha, order.beta)[0]
-        return float(val) / model.volume
-    modes = sphere_clusters(model, window)
-    if modes.count == 0:
-        return 0.0
-    coeffs = _sphere_coeffs(modes)
-    x0 = np.asarray(x0, dtype=float)
-
-    def batch_eval(us, vs):
-        xs = np.array([exp_map(model, x0, uu) for uu in us])
-        ys = np.array([exp_map(model, x0, vv) for vv in vs])
-        return _sphere_kernel_values(coeffs, xs, ys)
-
-    return _fd_apply(batch_eval, u, v, order)
+        return float(torus_pair_deriv_batch(model, window, (u - v)[None, :],
+                                            order)[0])
+    return float(sphere_pair_deriv_batch(model, window, x0, u[None, :],
+                                         v[None, :], order)[0])
 
 
 def rescaled_kernel(model: Model, x0, lam: float, delta: float,
@@ -505,39 +482,16 @@ def torus_pair_deriv_batch(model: TorusModel, window: SpectralWindow,
 
 def sphere_pair_deriv_batch(model: SphereModel, window: SpectralWindow,
                             x0, us: np.ndarray, vs: np.ndarray,
-                            order: DerivOrder, h: float = FD_STEP) -> np.ndarray:
+                            order: DerivOrder) -> np.ndarray:
     """Sphere kernel derivatives for paired offset rows (us[i], vs[i]).
 
-    All stencil evaluations for all pairs are collected into one Legendre
-    sweep, which keeps finite differencing affordable on probe grids.
+    sphere_fd_batch with the window's Legendre sum as the profile: all
+    stencil points of all rows share one Legendre sweep.
     """
     modes = sphere_clusters(model, window)
-    pairs = us.shape[0]
     if modes.count == 0:
-        return np.zeros(pairs)
-    coeffs = _sphere_coeffs(modes)
-    x0 = np.asarray(x0, dtype=float)
-
-    def eval_points(offsets):
-        return np.array([exp_map(model, x0, o) for o in offsets])
-
-    if order.omega == 0:
-        xs = eval_points(us)
-        ys = eval_points(vs)
-        return _sphere_kernel_values(coeffs, xs, ys)
-
-    stencil = _tensor_stencil(order.alpha, order.beta)
-    coeff_arr = np.array([c for _, _, c in stencil])
-    du_arr = np.array([du for du, _, _ in stencil], dtype=float)
-    dv_arr = np.array([dv for _, dv, _ in stencil], dtype=float)
-
-    def value(step):
-        # stack (stencil x pairs) evaluations into one kernel sweep
-        all_u = (us[None, :, :] + step * du_arr[:, None, :]).reshape(-1, 2)
-        all_v = (vs[None, :, :] + step * dv_arr[:, None, :]).reshape(-1, 2)
-        xs = eval_points(all_u)
-        ys = eval_points(all_v)
-        vals = _sphere_kernel_values(coeffs, xs, ys).reshape(len(stencil), pairs)
-        return (coeff_arr @ vals) / step ** order.omega
-
-    return (4.0 * value(0.5 * h) - value(h)) / 3.0
+        return np.zeros(np.shape(us)[0])
+    coeffs = sphere_coeffs(modes)
+    return sphere_fd_batch(model, x0, x0,
+                           lambda t: legendre_weighted_sum(coeffs, t),
+                           us, vs, order)

@@ -237,59 +237,71 @@ def window_modes(model: Model, window: SpectralWindow) -> ModeList:
 # points, exponential maps, distances
 # --------------------------------------------------------------------------
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # stacked vector products round as np.dot does on one vector, which an
+    # axis=-1 sum does not
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _norm(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(_dot(a, a))
+
+
 def _as_point(model: Model, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if isinstance(model, TorusModel):
-        if x.shape != (model.n,):
-            raise ValueError(f"torus point must have shape ({model.n},)")
+        if x.shape[-1:] != (model.n,):
+            raise ValueError(f"torus point must have shape (..., {model.n})")
         return x
-    if x.shape != (3,):
+    if x.shape[-1:] != (3,):
         raise ValueError("sphere point must be a 3-vector")
-    nrm = float(np.linalg.norm(x))
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError(f"sphere point must be unit length, |x|={nrm}")
-    return x / nrm
+    nrm = _norm(x)
+    worst = float(np.max(np.abs(nrm - 1.0)))
+    if worst > 1e-9:
+        raise ValueError(f"sphere point must be unit length, ||x|-1|={worst}")
+    return x / nrm[..., None]
 
 
 def tangent_frame(x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed orthonormal frame of the tangent plane at a sphere point.
+    """Fixed orthonormal frame of the tangent plane at sphere points (..., 3).
 
     The seed axis is the coordinate direction least aligned with x0, which
     makes the frame deterministic for a given point.
     """
     x0 = np.asarray(x0, dtype=float)
-    axis = int(np.argmin(np.abs(x0)))
-    seed = np.zeros(3)
-    seed[axis] = 1.0
-    e1 = seed - np.dot(seed, x0) * x0
-    e1 /= np.linalg.norm(e1)
+    seed = np.eye(3)[np.argmin(np.abs(x0), axis=-1)]
+    e1 = seed - _dot(seed, x0)[..., None] * x0
+    e1 = e1 / _norm(e1)[..., None]
     e2 = np.cross(x0, e1)
     return e1, e2
 
 
 def exp_map(model: Model, x0, u) -> np.ndarray:
-    """Exponential map at x0 applied to a tangent vector u.
+    """Exponential map at x0 applied to tangent vectors u (..., dim).
 
-    Torus: coordinate translation mod 2*pi.  Sphere: u is expressed in the
-    fixed tangent frame of x0 and followed along the great circle.
-    Tangent vectors at or beyond the injectivity radius are rejected.
+    Leading axes of x0 and u broadcast, so one base point or one per row
+    may be given.  Torus: coordinate translation mod 2*pi.  Sphere: u is
+    expressed in the fixed tangent frame of x0 and followed along the great
+    circle.  Tangent vectors at or beyond the injectivity radius are
+    rejected.
     """
     x0 = _as_point(model, x0)
     u = np.asarray(u, dtype=float)
-    if u.shape != (model.dim,):
-        raise ValueError(f"tangent vector must have shape ({model.dim},)")
-    r = float(np.linalg.norm(u))
-    if r >= model.injectivity_radius:
+    if u.shape[-1:] != (model.dim,):
+        raise ValueError(f"tangent vector must have shape (..., {model.dim})")
+    r = _norm(u)
+    if np.any(r >= model.injectivity_radius):
         raise ValueError(
-            f"|u|={r} is not below the injectivity radius {model.injectivity_radius}"
+            f"|u|={float(np.max(r))} is not below the injectivity radius "
+            f"{model.injectivity_radius}"
         )
     if isinstance(model, TorusModel):
         return np.mod(x0 + u, TWO_PI)
-    if r == 0.0:
-        return x0.copy()
     e1, e2 = tangent_frame(x0)
-    w = (u[0] * e1 + u[1] * e2) / r
-    return math.cos(r) * x0 + math.sin(r) * w
+    zero = (r == 0.0)[..., None]
+    w = (u[..., :1] * e1 + u[..., 1:] * e2) / np.where(zero, 1.0, r[..., None])
+    moved = np.cos(r)[..., None] * x0 + np.sin(r)[..., None] * w
+    return np.where(zero, x0, moved)
 
 
 def torus_separation(model: TorusModel, x, y) -> np.ndarray:
@@ -302,14 +314,15 @@ def torus_separation(model: TorusModel, x, y) -> np.ndarray:
     return np.mod(d + math.pi, TWO_PI) - math.pi
 
 
-def distance(model: Model, x, y) -> float:
-    """Geodesic distance between two points."""
+def distance(model: Model, x, y) -> float | np.ndarray:
+    """Geodesic distance between points; leading axes of x and y broadcast."""
     x = _as_point(model, x)
     y = _as_point(model, y)
     if isinstance(model, TorusModel):
-        return float(np.linalg.norm(torus_separation(model, x, y)))
-    t = float(np.clip(np.dot(x, y), -1.0, 1.0))
-    return math.acos(t)
+        d = _norm(torus_separation(model, x, y))
+    else:
+        d = np.arccos(np.clip(_dot(x, y), -1.0, 1.0))
+    return d if d.ndim else float(d)
 
 
 def counting_function(model: Model, lam: float) -> int:

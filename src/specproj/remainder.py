@@ -6,9 +6,12 @@ For the cumulative window [0, lam] the kernel splits as
 
 and this module measures R and its derivatives on probe grids, then fits
 the growth exponent alpha_hat in sup|R| ~ C * lam^alpha_hat by least
-squares in log-log coordinates.  On the torus the diagonal remainder is the
-classical lattice-count error divided by the volume, so exact integer
-counting doubles as an oracle for everything here.
+squares in log-log coordinates.  remainder_batch evaluates R for rows of
+point pairs with the kernels module's derivative mechanism for each model
+(term by term on the torus, sphere_fd_batch on the sphere); the single
+field and the sweeps are calls of it.  On the torus the diagonal remainder
+is the classical lattice-count error divided by the volume, so exact
+integer counting doubles as an oracle for everything here.
 """
 
 from __future__ import annotations
@@ -20,10 +23,8 @@ import numpy as np
 
 from .models import (
     Model,
-    SphereModel,
     SpectralWindow,
     TorusModel,
-    counting_function,
     distance,
     exp_map,
     sphere_clusters,
@@ -33,18 +34,17 @@ from .kernels import (
     DerivOrder,
     ball_kernel,
     ball_kernel_deriv,
-    sphere_pair_deriv_batch,
+    sphere_coeffs,
+    sphere_fd_batch,
     torus_pair_deriv_batch,
-    _sphere_coeffs,
-    _sphere_kernel_values,
-    _fd_apply,
 )
+from .special import legendre_weighted_sum
 
 __all__ = [
     "ExponentFit",
     "ProbeGrid",
     "RemainderReport",
-    "counting_function",
+    "remainder_batch",
     "remainder_field",
     "remainder_sweep",
     "scaling_exponent_fit",
@@ -57,19 +57,53 @@ def cluster_lambda(ell: int, offset: float = 0.01) -> float:
     return math.sqrt(ell * (ell + 1.0)) + offset
 
 
-def _check_pair(model: Model, x, y) -> None:
-    if distance(model, x, y) >= 0.5 * model.injectivity_radius:
+def _check_pairs(model: Model, xs, ys) -> None:
+    if np.max(distance(model, xs, ys)) >= 0.5 * model.injectivity_radius:
         raise ValueError("x and y must be within half the injectivity radius")
+
+
+def remainder_batch(model: Model, xs: np.ndarray, ys: np.ndarray, lam: float,
+                    order: DerivOrder) -> np.ndarray:
+    """Derivatives of [E_(0,lam] + 1/vol - ball_kernel(n, d, lam)] per row.
+
+    Rows are point pairs (xs[i], ys[i]).  The constant mode restores the
+    full cumulative kernel E_[0,lam]; it only contributes at derivative
+    order zero.  Derivatives are taken in normal coordinates centered at
+    xs[i] and ys[i]: term by term on the torus, by sphere_fd_batch with the
+    whole bracket as its profile on the sphere.
+    """
+    n = model.n
+    window = SpectralWindow(0.0, lam) if lam > 0 else None
+    const = 1.0 / model.volume if order.omega == 0 else 0.0
+    if isinstance(model, TorusModel):
+        diffs = torus_separation(model, xs, ys)
+        if window is None:
+            mode_part = np.zeros(diffs.shape[0])
+        else:
+            mode_part = torus_pair_deriv_batch(model, window, diffs, order)
+        gamma = tuple(a + b for a, b in zip(order.alpha, order.beta))
+        sign = (-1.0) ** sum(order.beta)
+        mains = np.array([sign * ball_kernel_deriv(n, w, lam, gamma)
+                          for w in diffs])
+        return mode_part + const - mains
+
+    coeffs = (sphere_coeffs(sphere_clusters(model, window))
+              if window else np.zeros(0))
+
+    def bracket(t):
+        mains = [ball_kernel(n, d, lam) for d in np.arccos(t).ravel()]
+        return (legendre_weighted_sum(coeffs, t) + const
+                - np.reshape(mains, t.shape))
+
+    zero = np.zeros(model.dim)
+    return sphere_fd_batch(model, xs, ys, bracket, zero, zero, order)
 
 
 def remainder_field(model: Model, x, y, lam: float,
                     order: DerivOrder | None = None) -> float:
-    """Derivative of [E_(0,lam](x,y) + 1/vol - ball_kernel(n, d(x,y), lam)].
+    """remainder_batch on the one row (x, y).
 
-    The constant mode restores the full cumulative kernel E_[0,lam]; it
-    only contributes at derivative order zero.  Derivatives are taken in
-    normal coordinates centered at x and y respectively: exactly on the
-    torus, by finite differences on the sphere.
+    x and y must lie within half the injectivity radius of each other.
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
@@ -77,54 +111,9 @@ def remainder_field(model: Model, x, y, lam: float,
         order = DerivOrder.zero(model.dim)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    _check_pair(model, x, y)
-    if lam == 0.0:
-        window = None
-    else:
-        window = SpectralWindow(0.0, lam)
-    n = model.n
-
-    if isinstance(model, TorusModel):
-        diff = torus_separation(model, x, y)[None, :]
-        if window is None:
-            mode_part = 0.0
-        else:
-            mode_part = float(
-                torus_pair_deriv_batch(model, window, diff, order)[0]
-            )
-        gamma = tuple(a + b for a, b in zip(order.alpha, order.beta))
-        sign = (-1.0) ** sum(order.beta)
-        main = sign * ball_kernel_deriv(n, diff[0], lam, gamma)
-        const = 1.0 / model.volume if order.omega == 0 else 0.0
-        return mode_part + const - main
-
-    # sphere: order zero is a direct evaluation, higher orders are finite
-    # differences of the full bracket in normal coordinates at x and y
-    if order.omega == 0:
-        if window is None:
-            mode_part = 0.0
-        else:
-            coeffs = _sphere_coeffs(sphere_clusters(model, window))
-            mode_part = float(
-                _sphere_kernel_values(coeffs, x[None, :], y[None, :])[0]
-            )
-        return mode_part + 1.0 / model.volume - ball_kernel(n, distance(model, x, y), lam)
-
-    coeffs = _sphere_coeffs(sphere_clusters(model, window)) if window else None
-
-    def batch_eval(us, vs):
-        xs = np.array([exp_map(model, x, uu) for uu in us])
-        ys = np.array([exp_map(model, y, vv) for vv in vs])
-        if coeffs is not None and coeffs.size:
-            vals = _sphere_kernel_values(coeffs, xs, ys)
-        else:
-            vals = np.zeros(xs.shape[0])
-        dists = np.arccos(np.clip(np.sum(xs * ys, axis=1), -1.0, 1.0))
-        mains = np.array([ball_kernel(n, d, lam) for d in dists])
-        return vals - mains
-
-    zero = np.zeros(model.dim)
-    return _fd_apply(batch_eval, zero, zero, order)
+    _check_pairs(model, x, y)
+    return float(remainder_batch(model, x[None, :], y[None, :], lam,
+                                 order)[0])
 
 
 # --------------------------------------------------------------------------
@@ -215,64 +204,11 @@ class RemainderReport:
         }
 
 
-def _probe_points(model: Model, x0, probe: ProbeGrid) -> np.ndarray:
-    x0 = np.asarray(x0, dtype=float)
-    if probe.radius >= 0.5 * model.injectivity_radius:
-        raise ValueError("probe radius must stay below half the injectivity radius")
-    offsets = probe.offsets(model.dim)
-    return np.array([exp_map(model, x0, o) for o in offsets])
-
-
-def _sup_remainder_torus(model: TorusModel, points: np.ndarray, lam: float,
-                         order: DerivOrder) -> float:
-    idx_x, idx_y = np.meshgrid(np.arange(points.shape[0]),
-                               np.arange(points.shape[0]), indexing="ij")
-    diffs = np.array([
-        torus_separation(model, points[i], points[j])
-        for i, j in zip(idx_x.ravel(), idx_y.ravel())
-    ])
-    window = SpectralWindow(0.0, lam) if lam > 0 else None
-    if window is None:
-        mode_part = np.zeros(diffs.shape[0])
-    else:
-        mode_part = torus_pair_deriv_batch(model, window, diffs, order)
-    gamma = tuple(a + b for a, b in zip(order.alpha, order.beta))
-    sign = (-1.0) ** sum(order.beta)
-    mains = np.array([sign * ball_kernel_deriv(model.n, w, lam, gamma)
-                      for w in diffs])
-    const = 1.0 / model.volume if order.omega == 0 else 0.0
-    return float(np.max(np.abs(mode_part + const - mains)))
-
-
-def _sup_remainder_sphere(model: SphereModel, points: np.ndarray, lam: float,
-                          order: DerivOrder) -> float:
-    count = points.shape[0]
-    best = 0.0
-    if order.omega == 0:
-        window = SpectralWindow(0.0, lam) if lam > 0 else None
-        coeffs = (_sphere_coeffs(sphere_clusters(model, window))
-                  if window else np.zeros(0))
-        xs = np.repeat(points, count, axis=0)
-        ys = np.tile(points, (count, 1))
-        if coeffs.size:
-            mode_part = _sphere_kernel_values(coeffs, xs, ys)
-        else:
-            mode_part = np.zeros(xs.shape[0])
-        dists = np.arccos(np.clip(np.sum(xs * ys, axis=1), -1.0, 1.0))
-        mains = np.array([ball_kernel(model.n, d, lam) for d in dists])
-        vals = mode_part + 1.0 / model.volume - mains
-        return float(np.max(np.abs(vals)))
-    for i in range(count):
-        for j in range(count):
-            val = remainder_field(model, points[i], points[j], lam, order)
-            best = max(best, abs(val))
-    return best
-
-
 def remainder_sweep(model: Model, x0, probe: ProbeGrid, lambdas,
                     order: DerivOrder | None = None,
                     threads: int = 1) -> RemainderReport:
-    """Sup of |remainder_field| over probe pairs, per lam, plus the fit."""
+    """Sup of |remainder_batch| over all ordered probe pairs, per lam, plus
+    the fit."""
     if order is None:
         order = DerivOrder.zero(model.dim)
     lambdas = tuple(float(l) for l in lambdas)
@@ -280,14 +216,15 @@ def remainder_sweep(model: Model, x0, probe: ProbeGrid, lambdas,
         raise ValueError("need at least 4 lambda samples for the exponent fit")
     if any(l <= 0 for l in lambdas):
         raise ValueError("lambda samples must be > 0")
-    points = _probe_points(model, x0, probe)
-    if points.shape[0] == 0:
-        raise ValueError("empty probe grid")
+    # every ordered pair of probe points, checked once before any window
+    points = exp_map(model, x0, probe.offsets(model.dim))
+    xs = np.repeat(points, points.shape[0], axis=0)
+    ys = np.tile(points, (points.shape[0], 1))
+    _check_pairs(model, xs, ys)
 
     def one(lam: float) -> float:
-        if isinstance(model, TorusModel):
-            return _sup_remainder_torus(model, points, lam, order)
-        return _sup_remainder_sphere(model, points, lam, order)
+        return float(np.max(np.abs(remainder_batch(model, xs, ys, lam,
+                                                   order))))
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -213,6 +213,56 @@ class TestGeometry:
         with pytest.raises(ValueError):
             exp_map(model, np.array([0.0, 0.0, 1.0]), np.array([math.pi, 0]))
 
+    @staticmethod
+    def single_sphere_exp(x0, u):
+        # the one-vector arithmetic: np.linalg.norm, np.dot, math.cos/sin
+        x0 = x0 / np.linalg.norm(x0)
+        r = float(np.linalg.norm(u))
+        if r == 0.0:
+            return x0
+        seed = np.zeros(3)
+        seed[int(np.argmin(np.abs(x0)))] = 1.0
+        e1 = seed - np.dot(seed, x0) * x0
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(x0, e1)
+        w = (u[0] * e1 + u[1] * e2) / r
+        return math.cos(r) * x0 + math.sin(r) * w
+
+    def test_exp_map_batch_bit_equal_to_single_vectors(self):
+        rng = np.random.default_rng(4)
+        sphere = SphereModel()
+        bases = rng.standard_normal((300, 3))
+        bases /= np.linalg.norm(bases, axis=1)[:, None]
+        offsets = rng.uniform(-1.5, 1.5, (300, 2))
+        offsets[7] = 0.0
+        shared = exp_map(sphere, bases[0], offsets)
+        per_row = exp_map(sphere, bases, offsets)
+        assert shared.shape == per_row.shape == (300, 3)
+        for i in range(300):
+            for got, base in ((shared[i], bases[0]), (per_row[i], bases[i])):
+                want = self.single_sphere_exp(base, offsets[i])
+                assert np.array_equal(got, want)
+                assert np.array_equal(got, exp_map(sphere, base, offsets[i]))
+        torus = TorusModel(n=2)
+        corners = rng.uniform(0.0, TWO_PI, (300, 2))
+        batch = exp_map(torus, corners, offsets)
+        for i in range(300):
+            want = np.mod(corners[i] + offsets[i], TWO_PI)
+            assert np.array_equal(batch[i], want)
+            assert np.array_equal(batch[i],
+                                  exp_map(torus, corners[i], offsets[i]))
+
+    def test_exp_map_batch_rejects_one_bad_row(self):
+        sphere = SphereModel()
+        bases = np.tile([0.0, 0.0, 1.0], (5, 1))
+        offsets = np.full((5, 2), 0.1)
+        offsets[3] = (math.pi, 0.0)
+        with pytest.raises(ValueError, match="injectivity radius"):
+            exp_map(sphere, bases, offsets)
+        bases[2] *= 1.01
+        with pytest.raises(ValueError, match="unit length"):
+            exp_map(sphere, bases, np.full((5, 2), 0.1))
+
     def test_tangent_frame_orthonormal(self):
         model = SphereModel()
         rng = np.random.default_rng(0)

@@ -11,9 +11,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import eval_legendre, jv
 
 from specproj.kernels import DerivOrder
-from specproj.models import SphereModel, TorusModel, counting_function
+from specproj.models import (
+    SphereModel,
+    TorusModel,
+    counting_function,
+    exp_map,
+    tangent_frame,
+)
 from specproj.remainder import (
     ExponentFit,
     ProbeGrid,
@@ -97,6 +104,36 @@ class TestRemainderField:
         order = DerivOrder(alpha=(1, 0), beta=(1, 0))
         val = remainder_field(model, x, x, cluster_lambda(8), order)
         assert math.isfinite(val)
+
+    @pytest.mark.parametrize("lam", [cluster_lambda(8), 20.5, 47.3, 120.0])
+    def test_sphere_first_derivative_closed_form(self, lam):
+        # d/du1 at u = 0 of F(t) - B(arccos t), t = <exp_x(u), y>, is
+        # (F'(t) + B'(d)/sin d) <e1(x), y> with F = sum_l (2l+1)/(4pi) P_l
+        # over the clusters in (0, lam] and B(d) = lam J1(lam d)/(2 pi d)
+        model = SphereModel()
+        rng = np.random.default_rng(3)
+        x0 = rng.standard_normal(3)
+        points = exp_map(model, x0 / np.linalg.norm(x0),
+                         rng.uniform(-0.6, 0.6, (6, 2)))
+        ells = np.arange(1.0, 200.0)
+        ells = ells[np.sqrt(ells * (ells + 1.0)) <= lam]
+        order = DerivOrder(alpha=(1, 0), beta=(0, 0))
+        for i, x in enumerate(points):
+            e1, _ = tangent_frame(x)
+            for j, y in enumerate(points):
+                if i == j:
+                    continue
+                t = float(np.dot(x, y))
+                d = math.acos(t)
+                # P_l'(t) = l (t P_l - P_{l-1}) / (t^2 - 1)
+                f1 = float(np.sum((2 * ells + 1) / (4 * math.pi) * ells
+                                  * (t * eval_legendre(ells, t)
+                                     - eval_legendre(ells - 1, t))))
+                f1 /= t * t - 1
+                b1 = -lam ** 3 / TWO_PI * jv(2, lam * d) / (lam * d)
+                want = (f1 + b1 / math.sin(d)) * float(np.dot(e1, y))
+                got = remainder_field(model, x, y, lam, order)
+                assert got == pytest.approx(want, rel=1e-6)
 
     def test_rejects_far_pairs(self):
         model = TorusModel(n=2)
@@ -187,6 +224,38 @@ class TestSweep:
                                  lams)
         # diagonal remainder just above a cluster grows ~ lam/(4 pi)
         assert report.fit.alpha_hat > 0.5
+
+    def test_sphere_sweep_sup_is_max_of_field(self):
+        model = SphereModel()
+        x0 = np.array([0.6, 0.0, 0.8])
+        probe = ProbeGrid(radius=0.1, points_per_axis=3)
+        order = DerivOrder(alpha=(1, 0), beta=(0, 0))
+        lams = (10.5, 21.0, 42.0, 84.0)
+        report = remainder_sweep(model, x0, probe, lams, order)
+        points = exp_map(model, x0, probe.offsets(2))
+        for lam, sup in zip(lams, report.sups):
+            want = max(abs(remainder_field(model, x, y, lam, order))
+                       for x in points for y in points)
+            assert sup == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [(0, 0), (1, 0)],
+                             ids=["order0", "order1:0"])
+    @pytest.mark.parametrize("model", [SphereModel(), TorusModel(n=2)],
+                             ids=["sphere", "torus2"])
+    def test_domain_checked_before_any_window(self, model, alpha):
+        # the corners (-r, -r) and (r, r) of a 3x3 grid lie 2 sqrt(2) r
+        # apart, which reaches half the injectivity radius at r = 0.555
+        order = DerivOrder(alpha=alpha, beta=(0, 0))
+        x0 = (np.array([0.0, 0.0, 1.0]) if isinstance(model, SphereModel)
+              else np.zeros(2))
+        # windows beyond the frequency budget: enumerating any of them
+        # would raise BudgetError, not ValueError
+        with pytest.raises(ValueError, match="half the injectivity radius"):
+            remainder_sweep(model, x0, ProbeGrid(0.6, 3),
+                            (2e4, 3e4, 4e4, 5e4), order)
+        report = remainder_sweep(model, x0, ProbeGrid(0.5, 3),
+                                 (4.5, 9.0, 18.0, 36.0), order)
+        assert all(s > 0 for s in report.sups)
 
     def test_sweep_needs_four_lambdas(self):
         model = TorusModel(n=2)
