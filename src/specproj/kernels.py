@@ -106,24 +106,19 @@ def multi_indices(dim: int, max_order: int) -> list[tuple[int, ...]]:
 # torus mode sums
 # --------------------------------------------------------------------------
 
-def _trig_of(phases: np.ndarray, omega: int) -> np.ndarray:
-    # m-th derivative of cos is cos shifted by m*pi/2; use the exact table
-    m = omega % 4
-    if m == 0:
-        return np.cos(phases)
-    if m == 1:
-        return -np.sin(phases)
-    if m == 2:
-        return -np.cos(phases)
-    return np.sin(phases)
-
-
 def _torus_deriv_sum(vectors: np.ndarray, diffs: np.ndarray,
                      alpha: tuple[int, ...], beta: tuple[int, ...]) -> np.ndarray:
     """sum_k k^alpha (-k)^beta cos^(omega)(<k, diff>) for each diff row.
 
-    Summation runs along the contiguous mode axis, so numpy's pairwise
-    accumulation applies; this is what keeps 1e5+ term sums at 1e-12.
+    The omega-th derivative of cos is read off the exact table
+    (cos, -sin, -cos, sin)[omega % 4], evaluated in place into the phase
+    block; the integer weights multiply in only when some exponent is
+    nonzero.  Summation runs along the contiguous mode axis, so numpy's
+    pairwise accumulation applies; this is what keeps 1e5+ term sums at
+    1e-12.  Every step is odd or even in diff bit for bit (the phases
+    negate exactly, cos(-z) == cos(z) and sin(-z) == -sin(z), the weights
+    are exact integers, and pairwise summation of negated terms gives the
+    negated sum), so the row -d returns (-1)^omega times the row d exactly.
     """
     count, n = vectors.shape
     pairs = diffs.shape[0]
@@ -132,19 +127,23 @@ def _torus_deriv_sum(vectors: np.ndarray, diffs: np.ndarray,
         return out
     omega = sum(alpha) + sum(beta)
     kf = vectors.astype(float)
-    weights = np.ones(count)
-    for i, order in enumerate(alpha):
-        if order:
-            weights = weights * kf[:, i] ** order
-    for i, order in enumerate(beta):
-        if order:
-            weights = weights * (-kf[:, i]) ** order
+    weights = None
+    for sign, orders in ((1.0, alpha), (-1.0, beta)):
+        for i, order in enumerate(orders):
+            if order:
+                factor = (sign * kf[:, i]) ** order
+                weights = factor if weights is None else weights * factor
+    trig = np.sin if omega % 2 else np.cos
+    negate = omega % 4 in (1, 2)
     chunk = max(1, _CHUNK_BUDGET // max(count, 1))
     for start in range(0, pairs, chunk):
         block = diffs[start:start + chunk]
-        phases = block @ kf.T          # (B, count), contiguous along modes
-        terms = _trig_of(phases, omega)
-        terms *= weights
+        terms = block @ kf.T           # (B, count), contiguous along modes
+        trig(terms, out=terms)
+        if negate:
+            np.negative(terms, out=terms)
+        if weights is not None:
+            terms *= weights
         out[start:start + chunk] = np.sum(terms, axis=1)
     return out
 

@@ -91,13 +91,19 @@ def _base_frame(surface: SurfaceSpec, x0: np.ndarray):
 
     x0 is (theta, phi) of the polar parametrization
     (sin theta cos phi, sin theta sin phi, c cos theta) on the sphere and
-    ellipsoid; e1 follows d/dtheta and e2 completes the frame."""
+    ellipsoid; e1 follows d/dtheta and e2 completes the frame.  At a pole
+    (theta a multiple of pi) d/dphi vanishes, and the frame is the limit
+    along the meridian phi: e1 = +-(cos phi, sin phi, 0) with the sign of
+    cos theta, e2 = (-sin phi, cos phi, 0)."""
     if surface.kind == "torus":
         return x0.copy(), np.array([1.0, 0.0]), np.array([0.0, 1.0])
     c = surface.axis_c
     sa, ca = np.sin(x0[0]), np.cos(x0[0])
     sb, cb = np.sin(x0[1]), np.cos(x0[1])
     pos = np.array([sa * cb, sa * sb, c * ca])
+    if x0[0] % math.pi == 0.0:
+        e1 = np.sign(ca) * np.array([cb, sb, 0.0])
+        return pos, e1, np.array([-sb, cb, 0.0])
     d1 = np.array([ca * cb, ca * sb, -c * sa])
     d2 = np.array([-sa * sb, sa * cb, 0.0])
     e1 = d1 / np.linalg.norm(d1)
@@ -120,18 +126,20 @@ def _march(surface: SurfaceSpec, x: np.ndarray, v: np.ndarray, steps: int,
     after each one.
 
     Raises ArithmeticError once | |v|^2 - 1 | exceeds _ENERGY_TOL or
-    | x^T A x - 1 | exceeds _CONSTRAINT_TOL.
+    | x^T A x - 1 | exceeds _CONSTRAINT_TOL, or either one is NaN (each
+    guard reads `not (value <= tol)` on the current step's value).
     """
     a = _quadric(surface)
     drift = 0.0
     for _ in range(steps):
         x, v = _rk4_step(a, x, v, h)
-        drift = max(drift, float(np.max(np.abs(np.sum(v * v, axis=1) - 1.0))))
-        if drift > _ENERGY_TOL:
-            raise ArithmeticError(f"energy drift {drift:.3e} exceeds {_ENERGY_TOL}")
+        energy = float(np.max(np.abs(np.sum(v * v, axis=1) - 1.0)))
+        if not energy <= _ENERGY_TOL:
+            raise ArithmeticError(f"energy drift {energy:.3e} exceeds {_ENERGY_TOL}")
+        drift = max(drift, energy)
         if a is not None:
             level = float(np.max(np.abs(np.sum(a * x * x, axis=1) - 1.0)))
-            if level > _CONSTRAINT_TOL:
+            if not level <= _CONSTRAINT_TOL:
                 raise ArithmeticError(
                     f"constraint drift {level:.3e} exceeds {_CONSTRAINT_TOL}")
         yield x, drift

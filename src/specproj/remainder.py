@@ -58,7 +58,8 @@ def cluster_lambda(ell: int, offset: float = 0.01) -> float:
 
 
 def _check_pairs(model: Model, xs, ys) -> None:
-    if np.max(distance(model, xs, ys)) >= 0.5 * model.injectivity_radius:
+    # written so that a NaN distance fails the check too
+    if not np.max(distance(model, xs, ys)) < 0.5 * model.injectivity_radius:
         raise ValueError("x and y must be within half the injectivity radius")
 
 
@@ -71,21 +72,36 @@ def remainder_batch(model: Model, xs: np.ndarray, ys: np.ndarray, lam: float,
     order zero.  Derivatives are taken in normal coordinates centered at
     xs[i] and ys[i]: term by term on the torus, by sphere_fd_batch with the
     whole bracket as its profile on the sphere.
+
+    On the torus the bracket depends only on the separation d = x - y and
+    R(-d) = (-1)^omega R(d), so the rows are folded into classes {d, -d},
+    each class is evaluated once and the values are indexed back, times
+    the row's sign when omega is odd.  The fold is exact: the mode sum is
+    odd or even in d bit for bit (see kernels._torus_deriv_sum), and so is
+    ball_kernel_deriv, whose monomials w^e negate exactly.
     """
     n = model.n
     window = SpectralWindow(0.0, lam) if lam > 0 else None
     const = 1.0 / model.volume if order.omega == 0 else 0.0
     if isinstance(model, TorusModel):
+        # fold d and -d onto the sign whose first nonzero coordinate is
+        # positive (+ 0.0 clears -0.0) and evaluate each class once
         diffs = torus_separation(model, xs, ys)
+        lead = diffs[np.arange(diffs.shape[0]), np.argmax(diffs != 0, axis=1)]
+        flip = np.where(lead < 0, -1.0, 1.0)
+        reps, inverse = np.unique(diffs * flip[:, None] + 0.0, axis=0,
+                                  return_inverse=True)
         if window is None:
-            mode_part = np.zeros(diffs.shape[0])
+            mode_part = np.zeros(reps.shape[0])
         else:
-            mode_part = torus_pair_deriv_batch(model, window, diffs, order)
+            mode_part = torus_pair_deriv_batch(model, window, reps, order)
         gamma = tuple(a + b for a, b in zip(order.alpha, order.beta))
         sign = (-1.0) ** sum(order.beta)
         mains = np.array([sign * ball_kernel_deriv(n, w, lam, gamma)
-                          for w in diffs])
-        return mode_part + const - mains
+                          for w in reps])
+        values = (mode_part + const - mains)[inverse.reshape(-1)]
+        # odd omega: const is 0 and the unfolded bracket is never -0.0
+        return values * flip + 0.0 if order.omega % 2 else values
 
     coeffs = (sphere_coeffs(sphere_clusters(model, window))
               if window else np.zeros(0))

@@ -156,6 +156,19 @@ class TestExitStatuses:
         assert not (tmp_path / "out").exists()
 
 
+    def test_nan_state_is_1(self, tmp_path, capsys, monkeypatch):
+        from specproj import loopset
+        monkeypatch.setattr(loopset, "_accel",
+                            lambda a, x, v: np.full_like(v, np.nan))
+        cfg = write_config(tmp_path, "l.cfg", LOOPSET_CFG)
+        code = main(["loopset", "--config", cfg,
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error kind=numerical msg=")
+        assert "nan" in err
+
+
 class TestReports:
     def test_scaling_outputs(self, tmp_path):
         cfg = write_config(tmp_path, "s.cfg", SCALING_CFG)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from scipy import integrate as sintegrate
 from scipy import optimize as soptimize
+from scipy import special as sspecial
 
 from specproj import loopset
 from specproj.loopset import (
@@ -252,3 +253,46 @@ class TestPoleCrossing:
         est = loopset_fraction(surface, np.array([1.2, 0.0]), 16, 5.0, 1e-3,
                                seed=1)
         assert est.max_energy_drift <= 1e-6
+
+
+class TestPoles:
+    # every geodesic from a pole of a surface of revolution is a meridian,
+    # so all directions return after one meridian perimeter: 2 pi on the
+    # sphere, 4 c E(1 - 1/c^2) (scipy ellipe) on the ellipsoid (1, 1, c)
+    @pytest.mark.parametrize("surface, period", [
+        (SurfaceSpec(kind="sphere"), TWO_PI),
+        (SurfaceSpec(kind="ellipsoid", c=1.5),
+         4.0 * 1.5 * sspecial.ellipe(1.0 - 1.0 / 1.5 ** 2)),
+    ], ids=["sphere", "ellipsoid"])
+    def test_every_direction_returns_from_a_pole(self, surface, period):
+        tol = 1e-3
+        est = loopset_fraction(surface, np.array([0.0, 0.3]), 16, 9.0, tol,
+                               seed=3)
+        assert est.fraction == 1.0
+        assert np.max(est.min_distances) <= 1e-6
+        # the first return is the first time within tol, so up to tol early
+        assert np.max(np.abs(est.first_return_times - period)) <= 2 * tol
+
+    def test_pole_frame_is_orthonormal_and_tangent(self):
+        surface = SurfaceSpec(kind="ellipsoid", c=0.7)
+        for theta in (0.0, math.pi):
+            pos, e1, e2 = loopset._base_frame(surface, np.array([theta, 0.4]))
+            frame = np.stack([e1, e2])
+            assert np.all(np.isfinite(frame))
+            assert np.allclose(frame @ frame.T, np.eye(2), atol=1e-15)
+            # tangent: orthogonal to the normal A x, which is vertical here
+            assert np.allclose(frame @ (pos * [1.0, 1.0, 1.0 / 0.49]), 0.0,
+                               atol=1e-15)
+
+
+class TestNaN:
+    def test_nan_state_raises(self, monkeypatch):
+        # NaN compares false with everything, so a guard written as
+        # `value > tol` would let it pass
+        monkeypatch.setattr(loopset, "_accel",
+                            lambda a, x, v: np.full_like(v, np.nan))
+        surface = SurfaceSpec(kind="sphere")
+        with pytest.raises(ArithmeticError, match="energy drift nan"):
+            loopset_fraction(surface, np.array([1.0, 0.3]), 4, 0.5, 1e-3)
+        with pytest.raises(ArithmeticError, match="energy drift nan"):
+            integrate_geodesic(surface, np.array([1.0, 0.3]), 0.2, 0.5)

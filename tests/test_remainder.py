@@ -13,18 +13,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_legendre, jv
 
-from specproj.kernels import DerivOrder
+from specproj.kernels import DerivOrder, ball_kernel_deriv, torus_pair_deriv_batch
 from specproj.models import (
+    SpectralWindow,
     SphereModel,
     TorusModel,
     counting_function,
     exp_map,
     tangent_frame,
+    torus_separation,
 )
 from specproj.remainder import (
     ExponentFit,
     ProbeGrid,
     cluster_lambda,
+    remainder_batch,
     remainder_field,
     remainder_sweep,
     scaling_exponent_fit,
@@ -140,6 +143,84 @@ class TestRemainderField:
         with pytest.raises(ValueError):
             remainder_field(model, np.zeros(2),
                             np.array([math.pi - 0.1, math.pi - 0.1]), 5.0)
+
+    @pytest.mark.parametrize("model, x", [
+        (TorusModel(n=2), [np.nan, 0.1]),
+        (SphereModel(), [np.nan, 0.0, 1.0]),
+    ], ids=["torus2", "sphere"])
+    def test_rejects_nan_points(self, model, x):
+        # a NaN distance compares false with the bound, so the check must
+        # be written to fail on it
+        with pytest.raises(ValueError, match="half the injectivity radius"):
+            remainder_field(model, x, np.array(x), 5.0)
+
+
+FOLD_ORDERS = pytest.mark.parametrize("alpha, beta", [
+    ((0, 0), (0, 0)), ((1, 0), (0, 0)), ((1, 0), (0, 1)), ((2, 0), (0, 1)),
+    ((2, 0), (0, 2))], ids=["0:0,0:0", "1:0,0:0", "1:0,0:1", "2:0,0:1",
+                            "2:0,0:2"])
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+class TestTorusFold:
+    # remainder_batch evaluates each class {d, -d} of torus separations once;
+    # every value must come out bit for bit as if each row were evaluated
+    # on its own, unfolded
+    model = TorusModel(n=2)
+    points = exp_map(model, np.array([0.3, 6.1]),
+                     ProbeGrid(0.5, 5).offsets(2))
+    xs = np.repeat(points, 25, axis=0)
+    ys = np.tile(points, (25, 1))
+
+    @FOLD_ORDERS
+    @pytest.mark.parametrize("lam", [0.0, 23.7])
+    def test_batch_bit_equal_to_one_row_calls(self, alpha, beta, lam):
+        order = DerivOrder(alpha, beta)
+        batch = remainder_batch(self.model, self.xs, self.ys, lam, order)
+        rows = [remainder_field(self.model, x, y, lam, order)
+                for x, y in zip(self.xs, self.ys)]
+        assert np.array_equal(bits(batch), bits(rows))
+
+    @FOLD_ORDERS
+    def test_batch_bit_equal_to_unfolded_bracket(self, alpha, beta):
+        # the bracket written out on every row, with no fold
+        lam = 23.7
+        order = DerivOrder(alpha, beta)
+        diffs = torus_separation(self.model, self.xs, self.ys)
+        gamma = tuple(a + b for a, b in zip(alpha, beta))
+        mains = np.array([(-1.0) ** sum(beta)
+                          * ball_kernel_deriv(2, w, lam, gamma)
+                          for w in diffs])
+        const = 1.0 / self.model.volume if order.omega == 0 else 0.0
+        want = (torus_pair_deriv_batch(self.model, SpectralWindow(0.0, lam),
+                                       diffs, order) + const - mains)
+        got = remainder_batch(self.model, self.xs, self.ys, lam, order)
+        assert np.array_equal(bits(got), bits(want))
+
+    @FOLD_ORDERS
+    def test_parity_in_the_separation(self, alpha, beta):
+        # R(-d) == (-1)^omega R(d) bit for bit, evaluated in separate calls;
+        # dyadic separations survive the wrap into [-pi, pi) exactly
+        order = DerivOrder(alpha, beta)
+        sign = (-1.0) ** order.omega
+        d = np.array([[0.25, -0.375], [-0.5, 0.125], [0.0, -0.625],
+                      [0.75, 0.0], [-0.25, -0.25]])
+        zero = np.zeros_like(d)
+        assert np.array_equal(torus_separation(self.model, -d, zero), -d)
+        for lam in (0.0, 9.5, 40.2):
+            plus = remainder_batch(self.model, d, zero, lam, order)
+            minus = remainder_batch(self.model, -d, zero, lam, order)
+            assert np.array_equal(minus, sign * plus)
+        # the mode sum itself, unfolded, on normal arguments
+        rng = np.random.default_rng(7)
+        d = rng.normal(size=(50, 2)) * 3.0
+        window = SpectralWindow(30.0, 41.0)
+        plus = torus_pair_deriv_batch(self.model, window, d, order)
+        minus = torus_pair_deriv_batch(self.model, window, -d, order)
+        assert np.array_equal(minus, sign * plus)
 
 
 class TestExponentFit:
