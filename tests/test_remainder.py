@@ -13,7 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_legendre, jv
 
-from specproj.kernels import DerivOrder, ball_kernel_deriv, torus_pair_deriv_batch
+from specproj.kernels import (
+    DerivOrder,
+    ball_kernel_deriv,
+    torus_pair_deriv_batch,
+)
 from specproj.models import (
     SpectralWindow,
     SphereModel,
