@@ -2,30 +2,34 @@
 """Timed perfbench runs of one or more source trees, written to BENCH_<label>.json.
 
 Usage:
-    python3 scripts/bench.py LABEL [--tree NAME=PATH ...] [--workload W ...]
-                             [--seed N ...] [--seconds S] [--repeats K]
+    python3 scripts/bench.py LABEL [--tree NAME=PATH ...]
 
-For each workload, seed and repeat, every tree runs
+The workloads, the gated end-to-end metrics and the run length are read
+from BENCHMARK.json, the seeds are perfbench's tuning and held-out seeds.
+For each workload and seed every tree runs
 `python3 perfbench/run.py --workload W --seed N --seconds S --trace 0` in
-its own directory, the trees taking turns so that a slow spell of a shared
+its own directory REPEATS times, the trees taking turns and swapping which
+goes first from one repeat to the next, so that a slow spell of a shared
 host falls on all of them alike.  The default is one tree, `change`, the
 checkout this script lives in; a parent commit is compared by adding e.g.
 `--tree parent=../parent-checkout --tree change=.`.
 
 BENCH_<label>.json (written to the repository root) holds, per run: the
-tree name, the git sha and `src/` line count perfbench recorded, the five
-gated end-to-end metrics, `measured_s` (the run's wall time including the
-oracles, which perfbench checks after the timed loop), the attempted and
-failed counts and one sha256 over batch 0's output digests, so two trees'
-batch-0 outputs are byte-identical exactly when those hashes match.  The
-environment of the first run and the medians per tree and workload sit
-beside the runs.  Standard library only.
+tree name, the git sha and `src/` line count perfbench recorded, the gated
+metrics, `measured_s` (the run's wall time including the oracles, which
+perfbench checks after the timed loop), the attempted and failed counts
+and one sha256 over batch 0's output digests, so two trees' batch-0
+outputs are byte-identical exactly when those hashes match.  Beside the
+runs sit the environment of the first run and, per tree and workload,
+the quartiles [q1, median, q3] of every metric over all its runs.
+Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import statistics
 import subprocess
@@ -33,16 +37,31 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("torus-scaling", "sphere-kernel", "cumulative-remainder",
-             "geodesic-loopset")
-GATED = ("batch_s", "exp_s.p50", "cpu_s", "setup_s", "peak_rss_mb")
+# alternating runs per tree, workload and seed: two seeds give ten pairs
+REPEATS = 5
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def _perfbench():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+GATED = [m["name"] for m in BENCHMARK["end_to_end"]]
+SECONDS = BENCHMARK["run_seconds"]
+_PERFBENCH = _perfbench()
+SEEDS = (_PERFBENCH.TUNING_SEED, _PERFBENCH.HELD_OUT_SEED)
+
+
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     """One timed perfbench run in `tree`; returns the summary of its record."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{tree}: perfbench exited {proc.returncode}:\n"
@@ -69,17 +88,21 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def medians(runs: list[dict]) -> dict:
-    out: dict = {}
+def quartiles(runs: list[dict]) -> dict:
+    """[q1, median, q3] of each metric and of measured_s, per tree/workload."""
+    groups: dict = {}
     for run in runs:
-        key = f"{run['tree']}/{run['workload']}"
-        out.setdefault(key, []).append(run)
-    return {key: {name: statistics.median(r["metrics"][name] for r in group)
+        groups.setdefault(f"{run['tree']}/{run['workload']}", []).append(run)
+
+    def spread(values):
+        q1, q2, q3 = statistics.quantiles(values, n=4)
+        return [q1, q2, q3]
+
+    return {key: {name: spread([r["metrics"][name] for r in group])
                   for name in GATED}
-            | {"measured_s": statistics.median(r["measured_s"]
-                                               for r in group),
+            | {"measured_s": spread([r["measured_s"] for r in group]),
                "runs": len(group)}
-            for key, group in out.items()}
+            for key, group in groups.items()}
 
 
 def main(argv=None) -> int:
@@ -87,22 +110,16 @@ def main(argv=None) -> int:
     parser.add_argument("label")
     parser.add_argument("--tree", action="append", default=[],
                         help="NAME=PATH of a checkout to run (repeatable)")
-    parser.add_argument("--workload", action="append", choices=WORKLOADS)
-    parser.add_argument("--seed", action="append", type=int)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--repeats", type=int, default=1)
     args = parser.parse_args(argv)
     trees = [tuple(spec.split("=", 1)) for spec in args.tree] or [
         ("change", str(ROOT))]
     runs = []
-    for workload in args.workload or WORKLOADS:
-        for seed in args.seed or [1]:
-            for repeat in range(args.repeats):
-                # alternate which tree goes first from one repeat to the next
+    for workload in WORKLOADS:
+        for seed in SEEDS:
+            for repeat in range(REPEATS):
                 order = trees if repeat % 2 == 0 else trees[::-1]
                 for name, path in order:
-                    run = run_once(Path(path).resolve(), workload, seed,
-                                   args.seconds)
+                    run = run_once(Path(path).resolve(), workload, seed)
                     run["tree"] = name
                     runs.append(run)
                     shown = "  ".join(f"{k}={v:.4g}"
@@ -113,10 +130,10 @@ def main(argv=None) -> int:
     environment = runs[0]["environment"]
     for run in runs:
         del run["environment"]
-    result = {"label": args.label, "seconds": args.seconds,
+    result = {"label": args.label, "seconds": SECONDS, "repeats": REPEATS,
               "command": "python3 perfbench/run.py --workload W --seed N "
-                         f"--seconds {args.seconds:g} --trace 0",
-              "environment": environment, "medians": medians(runs),
+                         f"--seconds {SECONDS:g} --trace 0",
+              "environment": environment, "quartiles": quartiles(runs),
               "runs": runs}
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")

@@ -119,6 +119,10 @@ def _torus_deriv_sum(vectors: np.ndarray, diffs: np.ndarray,
     negate exactly, cos(-z) == cos(z) and sin(-z) == -sin(z), the weights
     are exact integers, and pairwise summation of negated terms gives the
     negated sum), so the row -d returns (-1)^omega times the row d exactly.
+    The trig parity is a property of numpy's float64 sin/cos build, not of
+    IEEE arithmetic; tests/test_remainder.py checks it as an environment
+    assumption, and the torus fold in remainder_batch is bit-exact only
+    where it holds.
     """
     count, n = vectors.shape
     pairs = diffs.shape[0]

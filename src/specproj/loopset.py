@@ -91,21 +91,22 @@ def _base_frame(surface: SurfaceSpec, x0: np.ndarray):
 
     x0 is (theta, phi) of the polar parametrization
     (sin theta cos phi, sin theta sin phi, c cos theta) on the sphere and
-    ellipsoid; e1 follows d/dtheta and e2 completes the frame.  At a pole
-    (theta a multiple of pi) d/dphi vanishes, and the frame is the limit
-    along the meridian phi: e1 = +-(cos phi, sin phi, 0) with the sign of
-    cos theta, e2 = (-sin phi, cos phi, 0)."""
+    ellipsoid; e1 follows d/dtheta and e2 completes the frame.  Where
+    |d/dphi| = |sin theta| is below 1e-150 (at a pole, or so near one that
+    its square underflows) the frame is the limit along the meridian phi:
+    e1 = +-(cos phi, sin phi, 0) with the sign of cos theta,
+    e2 = (-sin phi, cos phi, 0)."""
     if surface.kind == "torus":
         return x0.copy(), np.array([1.0, 0.0]), np.array([0.0, 1.0])
     c = surface.axis_c
     sa, ca = np.sin(x0[0]), np.cos(x0[0])
     sb, cb = np.sin(x0[1]), np.cos(x0[1])
     pos = np.array([sa * cb, sa * sb, c * ca])
-    if x0[0] % math.pi == 0.0:
+    d2 = np.array([-sa * sb, sa * cb, 0.0])
+    if np.linalg.norm(d2) < 1e-150:
         e1 = np.sign(ca) * np.array([cb, sb, 0.0])
         return pos, e1, np.array([-sb, cb, 0.0])
     d1 = np.array([ca * cb, ca * sb, -c * sa])
-    d2 = np.array([-sa * sb, sa * cb, 0.0])
     e1 = d1 / np.linalg.norm(d1)
     e2 = d2 - np.dot(d2, e1) * e1
     e2 /= np.linalg.norm(e2)

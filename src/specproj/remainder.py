@@ -76,8 +76,10 @@ def remainder_batch(model: Model, xs: np.ndarray, ys: np.ndarray, lam: float,
     On the torus the bracket depends only on the separation d = x - y and
     R(-d) = (-1)^omega R(d), so the rows are folded into classes {d, -d},
     each class is evaluated once and the values are indexed back, times
-    the row's sign when omega is odd.  The fold is exact: the mode sum is
-    odd or even in d bit for bit (see kernels._torus_deriv_sum), and so is
+    the row's sign when omega is odd.  The fold is bit-exact wherever
+    numpy's float64 sin is odd and cos even bit for bit (a platform
+    property that the tests check): the mode sum is then odd or even in d
+    bit for bit (see kernels._torus_deriv_sum), and so is
     ball_kernel_deriv, whose monomials w^e negate exactly.
     """
     n = model.n

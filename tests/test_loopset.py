@@ -264,9 +264,12 @@ class TestPoles:
         (SurfaceSpec(kind="ellipsoid", c=1.5),
          4.0 * 1.5 * sspecial.ellipe(1.0 - 1.0 / 1.5 ** 2)),
     ], ids=["sphere", "ellipsoid"])
-    def test_every_direction_returns_from_a_pole(self, surface, period):
+    # at theta = 1e-200 the norm of d/dphi underflows to 0 as at the pole
+    @pytest.mark.parametrize("theta", [0.0, 1e-200])
+    def test_every_direction_returns_from_a_pole(self, surface, period,
+                                                 theta):
         tol = 1e-3
-        est = loopset_fraction(surface, np.array([0.0, 0.3]), 16, 9.0, tol,
+        est = loopset_fraction(surface, np.array([theta, 0.3]), 16, 9.0, tol,
                                seed=3)
         assert est.fraction == 1.0
         assert np.max(est.min_distances) <= 1e-6
@@ -275,7 +278,8 @@ class TestPoles:
 
     def test_pole_frame_is_orthonormal_and_tangent(self):
         surface = SurfaceSpec(kind="ellipsoid", c=0.7)
-        for theta in (0.0, math.pi):
+        # on both sides of the 1e-150 switch to the meridian limit
+        for theta in (0.0, 1e-200, -1e-200, 1e-151, 1e-149, math.pi):
             pos, e1, e2 = loopset._base_frame(surface, np.array([theta, 0.4]))
             frame = np.stack([e1, e2])
             assert np.all(np.isfinite(frame))
