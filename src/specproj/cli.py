@@ -2,9 +2,11 @@
 
 Subcommands kernel / scaling / remainder / randomwave / loopset each read
 one INI config, run the experiment, and write CSV (and JSONL) reports plus
-a manifest.json holding the full config text, the package version, and
-wall time.  Exit status: 0 success, 2 validation error, 3 budget error;
-every failure prints one machine-parseable line on stderr.
+a manifest.json holding the full config text, the package version, the
+wall time and a metrics block (for loopset, the largest energy and
+constraint drift the integrator's guards saw).  Exit status: 0 success,
+2 validation error, 3 budget error; every failure prints one
+machine-parseable line on stderr.
 """
 
 from __future__ import annotations
@@ -182,7 +184,8 @@ def _run_randomwave(config: RandomwaveConfig, out_dir: Path) -> list[str]:
     return outputs
 
 
-def _run_loopset(config: LoopsetConfig, out_dir: Path) -> list[str]:
+def _run_loopset(config: LoopsetConfig, out_dir: Path,
+                 metrics: dict) -> list[str]:
     estimate = loopset_fraction(config.surface, np.asarray(config.x0),
                                 config.n_directions, config.t_max,
                                 config.tol, h=config.step, seed=config.seed,
@@ -190,6 +193,8 @@ def _run_loopset(config: LoopsetConfig, out_dir: Path) -> list[str]:
     write_csv(out_dir / "loopset.csv",
               ["direction_angle", "first_return_time_or_-1", "min_distance"],
               estimate.csv_rows())
+    metrics["max_energy_drift"] = estimate.max_energy_drift
+    metrics["max_constraint_drift"] = estimate.max_constraint_drift
     return ["loopset.csv"]
 
 
@@ -198,6 +203,7 @@ def run(kind: str, config: ExperimentConfig, out_dir: Path,
     """Execute one experiment and write its reports plus manifest.json."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    metrics: dict = {}
     start = time.perf_counter()
     if kind == "kernel":
         outputs = _run_kernel(config, out_dir)
@@ -208,12 +214,12 @@ def run(kind: str, config: ExperimentConfig, out_dir: Path,
     elif kind == "randomwave":
         outputs = _run_randomwave(config, out_dir)
     elif kind == "loopset":
-        outputs = _run_loopset(config, out_dir)
+        outputs = _run_loopset(config, out_dir, metrics)
     else:
         raise ConfigError(f"unknown experiment kind {kind!r}")
     from . import __version__
     write_manifest(out_dir, config_as_text(kind, config), outputs,
-                   time.perf_counter() - start, __version__)
+                   time.perf_counter() - start, __version__, metrics)
     return outputs
 
 

@@ -19,6 +19,21 @@ x'' = 0 in R^2 and measures distances modulo 2 pi.  Every step checks the
 energy | |v|^2 - 1 | and, on a quadric, the constraint | x^T A x - 1 |;
 both must stay within 1e-6.  Nothing projects back onto the surface, so
 the two guards measure the integration error itself.
+
+The march runs in blocks of b = max(1, 2048 // n) steps for n directions
+(32 steps for 64 directions, 10 for 200), a budget of 2048 stored states
+that keeps a block's arrays a few hundred kB whatever n is.  Each step is
+stacked RK4 on y = (x, v) of shape (2, n, d), written in place into
+buffers allocated once per march, so a step costs a few dozen numpy calls
+on small arrays.  Everything else runs once per block, vectorized over
+its b stored states: the two guards, the per-segment closest approach,
+the running minimum and the first-return search.  The guards still raise
+at the first offending step, with that step's value.  The result is bit
+for bit the one of a step-by-step march: each elementwise operation
+takes the same operands in the same order, every reduction is still one
+over the d = 2 or 3 coordinates of a point, and min and argmax are exact.
+Only the torus offset, wrapped modulo 2 pi, stays a running sum step by
+step inside the block.
 """
 
 from __future__ import annotations
@@ -33,6 +48,8 @@ TWO_PI = 2.0 * math.pi
 _ENERGY_TOL = 1e-6
 _CONSTRAINT_TOL = 1e-6
 _MAX_STEP = 1e-3
+# states per march block: steps per block times directions
+_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -68,22 +85,46 @@ def _accel(a: np.ndarray | None, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     if a is None:
         return np.zeros_like(v)
     ax = a * x
-    return -(np.sum(a * v * v, axis=1) / np.sum(ax * ax, axis=1))[:, None] * ax
+    num = np.add.reduce(a * v * v, axis=1)
+    return -(num / np.add.reduce(ax * ax, axis=1))[:, None] * ax
 
 
-def _rk4_step(a: np.ndarray | None, x: np.ndarray, v: np.ndarray,
-              h: float) -> tuple[np.ndarray, np.ndarray]:
-    k1x = v
-    k1v = _accel(a, x, v)
-    k2x = v + 0.5 * h * k1v
-    k2v = _accel(a, x + 0.5 * h * k1x, k2x)
-    k3x = v + 0.5 * h * k2v
-    k3v = _accel(a, x + 0.5 * h * k2x, k3x)
-    k4x = v + h * k3v
-    k4v = _accel(a, x + h * k3x, k4x)
-    x_new = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    v_new = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return x_new, v_new
+class _RK4:
+    """Stacked RK4 on rows (x, v, a) of shape (3, n, d) whose first two
+    entries are the state y = (x, v).  The last two are then
+    k = (v, a(x, v)), so no stage copies its velocity.  The three inner
+    stages live in buffers allocated once per march."""
+
+    def __init__(self, a: np.ndarray | None, n: int, dim: int, h: float):
+        self.a = a
+        self.coeffs = (0.5 * h, 0.5 * h, h)
+        self.sixth = h / 6.0
+        self.stages = [np.empty((3, n, dim)) for _ in range(3)]
+
+    def step(self, row: np.ndarray, out: np.ndarray) -> None:
+        """One step from the state in row[:2] into out, of shape (2, n, d).
+
+        The arithmetic is x + h/6 (((k1x + 2 k2x) + 2 k3x) + k4x), and the
+        same for v, term for term and in that order; the stage states are
+        y + (h/2) k1, y + (h/2) k2 and y + h k3."""
+        a = self.a
+        y = row[:2]
+        row[2] = _accel(a, row[0], row[1])
+        k = row[1:]
+        for stage, c in zip(self.stages, self.coeffs):
+            state = stage[:2]
+            np.multiply(c, k, out=state)
+            state += y
+            stage[2] = _accel(a, stage[0], stage[1])
+            k = stage[1:]
+        k2, k3, k4 = (stage[1:] for stage in self.stages)
+        k2 *= 2.0
+        k2 += row[1:]
+        k3 *= 2.0
+        k2 += k3
+        k2 += k4
+        k2 *= self.sixth
+        np.add(y, k2, out=out)
 
 
 def _base_frame(surface: SurfaceSpec, x0: np.ndarray):
@@ -123,27 +164,53 @@ def _launch(surface: SurfaceSpec, x0: np.ndarray, angles: np.ndarray):
 
 def _march(surface: SurfaceSpec, x: np.ndarray, v: np.ndarray, steps: int,
            h: float):
-    """Take `steps` RK4 steps; yield (positions, max energy drift so far)
-    after each one.
+    """Take `steps` RK4 steps in blocks of max(1, _BLOCK_ROWS // n); yield
+    (positions, max energy drift so far, max constraint drift so far) once
+    per block of b steps, positions of shape (b + 1, n, d) running from the
+    state before the block to the state after it.  The positions are a view
+    of a buffer the next block overwrites.
 
     Raises ArithmeticError once | |v|^2 - 1 | exceeds _ENERGY_TOL or
     | x^T A x - 1 | exceeds _CONSTRAINT_TOL, or either one is NaN (each
-    guard reads `not (value <= tol)` on the current step's value).
+    guard reads `not (value <= tol)` on each step's value).  The guards see
+    a block at once but raise at its first offending step, energy before
+    constraint, with that step's value.
     """
     a = _quadric(surface)
-    drift = 0.0
-    for _ in range(steps):
-        x, v = _rk4_step(a, x, v, h)
-        energy = float(np.max(np.abs(np.sum(v * v, axis=1) - 1.0)))
-        if not energy <= _ENERGY_TOL:
-            raise ArithmeticError(f"energy drift {energy:.3e} exceeds {_ENERGY_TOL}")
-        drift = max(drift, energy)
+    n, dim = x.shape
+    block = max(1, _BLOCK_ROWS // n)
+    rk4 = _RK4(a, n, dim, h)
+    # row i holds (x, v, a(x, v)) after i steps of the block
+    rows = np.empty((block + 1, 3, n, dim))
+    rows[0, 0] = x
+    rows[0, 1] = v
+    drift = level_drift = 0.0
+    done = 0
+    while done < steps:
+        b = min(block, steps - done)
+        for i in range(b):
+            rk4.step(rows[i], rows[i + 1, :2])
+        vs = rows[1:b + 1, 1]
+        energy = np.abs(np.add.reduce(vs * vs, axis=-1) - 1.0).max(axis=1)
+        bad = ~(energy <= _ENERGY_TOL)
         if a is not None:
-            level = float(np.max(np.abs(np.sum(a * x * x, axis=1) - 1.0)))
-            if not level <= _CONSTRAINT_TOL:
-                raise ArithmeticError(
-                    f"constraint drift {level:.3e} exceeds {_CONSTRAINT_TOL}")
-        yield x, drift
+            xs = rows[1:b + 1, 0]
+            level = np.abs(np.add.reduce(a * xs * xs, axis=-1)
+                           - 1.0).max(axis=1)
+            bad |= ~(level <= _CONSTRAINT_TOL)
+        if bad.any():
+            first = int(bad.argmax())
+            if not energy[first] <= _ENERGY_TOL:
+                raise ArithmeticError(f"energy drift {energy[first]:.3e} "
+                                      f"exceeds {_ENERGY_TOL}")
+            raise ArithmeticError(f"constraint drift {level[first]:.3e} "
+                                  f"exceeds {_CONSTRAINT_TOL}")
+        drift = max(drift, float(energy.max()))
+        if a is not None:
+            level_drift = max(level_drift, float(level.max()))
+        yield rows[:b + 1, 0], drift, level_drift
+        rows[0] = rows[b]
+        done += b
 
 
 def _wrap(rel: np.ndarray) -> np.ndarray:
@@ -151,12 +218,13 @@ def _wrap(rel: np.ndarray) -> np.ndarray:
 
 
 def _segment_min(rel: np.ndarray, delta: np.ndarray):
-    """Min distance to the origin over the segment rel + s*delta, s in [0,1]."""
-    dd = np.sum(delta * delta, axis=1)
-    s = -np.sum(rel * delta, axis=1) / np.where(dd > 0.0, dd, 1.0)
+    """Min distance to the origin over the segment rel + s*delta, s in [0,1],
+    for each row of the last axis."""
+    dd = np.add.reduce(delta * delta, axis=-1)
+    s = -np.add.reduce(rel * delta, axis=-1) / np.where(dd > 0.0, dd, 1.0)
     s = np.clip(s, 0.0, 1.0)
-    closest = rel + s[:, None] * delta
-    return np.sqrt(np.sum(closest * closest, axis=1)), s
+    closest = rel + s[..., None] * delta
+    return np.sqrt(np.add.reduce(closest * closest, axis=-1)), s
 
 
 @dataclass(frozen=True)
@@ -183,8 +251,11 @@ def integrate_geodesic(surface: SurfaceSpec, x0, angle: float, t_max: float,
     positions = np.empty((steps + 1, surface.embed_dim))
     positions[0] = x[0]
     drift = 0.0
-    for step, (x, drift) in enumerate(_march(surface, x, v, steps, h), 1):
-        positions[step] = x[0]
+    done = 0
+    for block, drift, _ in _march(surface, x, v, steps, h):
+        b = block.shape[0] - 1
+        positions[done + 1:done + b + 1] = block[1:, 0]
+        done += b
     times = h * np.arange(steps + 1)
     return GeodesicPath(times=times, positions=positions,
                         max_energy_drift=drift)
@@ -217,6 +288,7 @@ class LoopsetEstimate:
     first_return_times: np.ndarray   # -1 where no return within tol
     min_distances: np.ndarray
     max_energy_drift: float
+    max_constraint_drift: float     # 0 on the torus, which has no constraint
 
     @property
     def fraction(self) -> float:
@@ -256,37 +328,51 @@ def loopset_fraction(surface: SurfaceSpec, x0, n_directions: int,
 
     pos, v = _launch(surface, x0, angles)
     base = pos[0]
-    rel = _wrap(pos - base[None, :]) if surface.kind == "torus" else pos - base[None, :]
+    torus = surface.kind == "torus"
+    rel = _wrap(pos - base[None, :]) if torus else None
     min_d = np.full(n_directions, np.inf)
     ret_t = np.full(n_directions, -1.0)
-    drift = 0.0
+    drift = level = 0.0
     steps = int(round(t_max / h))
-    for step, (new_pos, drift) in enumerate(_march(surface, pos, v, steps, h)):
-        delta = new_pos - pos
-        t0 = step * h
-        if t0 + h >= t_min:
-            # clamp the one segment that straddles t_min so distances are
-            # measured over [t_min, t_max] exactly
-            if t0 < t_min:
-                frac = (t_min - t0) / h
-                seg_start = rel + frac * delta
-                seg_delta = (1.0 - frac) * delta
-                seg_t0, seg_len = t_min, (1.0 - frac) * h
-            else:
-                seg_start, seg_delta = rel, delta
-                seg_t0, seg_len = t0, h
-            d, s = _segment_min(seg_start, seg_delta)
-            np.minimum(min_d, d, out=min_d)
-            hit = (ret_t < 0.0) & (d <= tol)
-            if np.any(hit):
-                ret_t[hit] = seg_t0 + s[hit] * seg_len
-        if surface.kind == "torus":
-            rel = _wrap(rel + delta)
+    done = 0
+    for block, drift, level in _march(surface, pos, v, steps, h):
+        b = block.shape[0] - 1
+        t0 = np.arange(done, done + b) * h
+        done += b
+        delta = block[1:] - block[:-1]
+        if torus:
+            # the wrapped offset is a running sum, one step at a time
+            rels = np.empty_like(delta)
+            for i in range(b):
+                rels[i] = rel
+                rel = _wrap(rel + delta[i])
         else:
-            rel = new_pos - base[None, :]
-        pos = new_pos
+            rels = block[:-1] - base
+        live = t0 + h >= t_min
+        if not live[-1]:
+            continue
+        lo = int(live.argmax())
+        rels, delta, t0 = rels[lo:], delta[lo:], t0[lo:]
+        seg_t0 = t0.copy()
+        seg_len = np.full_like(t0, h)
+        # clamp the segments that straddle t_min so distances are measured
+        # over [t_min, t_max] exactly
+        for i in np.flatnonzero(t0 < t_min):
+            frac = (t_min - t0[i]) / h
+            rels[i] = rels[i] + frac * delta[i]
+            delta[i] = (1.0 - frac) * delta[i]
+            seg_t0[i], seg_len[i] = t_min, (1.0 - frac) * h
+        d, s = _segment_min(rels, delta)
+        np.minimum(min_d, d.min(axis=0), out=min_d)
+        hits = d <= tol
+        first = hits.argmax(axis=0)
+        new = (ret_t < 0.0) & hits.any(axis=0)
+        if new.any():
+            k = first[new]
+            ret_t[new] = seg_t0[k] + s[k, new] * seg_len[k]
     return LoopsetEstimate(surface=surface, x0=(float(x0[0]), float(x0[1])),
                            t_max=float(t_max), tol=float(tol),
                            t_min=float(t_min), angles=angles,
                            first_return_times=ret_t, min_distances=min_d,
-                           max_energy_drift=drift)
+                           max_energy_drift=drift,
+                           max_constraint_drift=level)
