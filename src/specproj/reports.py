@@ -60,12 +60,12 @@ def write_jsonl(path: Path, records: Iterable[dict]) -> None:
 
 def write_manifest(out_dir: Path, config_text: str, outputs: Sequence[str],
                    wall_seconds: float, version: str,
-                   metrics: dict | None = None) -> None:
+                   metrics: dict) -> None:
     """manifest.json: the config text, the outputs, the run's wall time and,
     under "metrics", what the run measured about itself."""
     manifest = {
         "config": config_text,
-        "metrics": metrics or {},
+        "metrics": metrics,
         "outputs": sorted(outputs),
         "version": version,
         "wall_seconds": wall_seconds,

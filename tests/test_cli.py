@@ -190,6 +190,16 @@ class TestReports:
         assert lines[0] == "direction_angle,first_return_time_or_-1,min_distance"
         assert len(lines) == 9
 
+    def test_loopset_manifest_metrics(self, tmp_path):
+        # the integrator's guard values go to the manifest, not the CSV;
+        # a run that passed its guards has both within their 1e-6 bound
+        cfg = write_config(tmp_path, "l.cfg", LOOPSET_CFG)
+        out = tmp_path / "out"
+        assert main(["loopset", "--config", cfg, "--out", str(out)]) == 0
+        metrics = json.loads((out / "manifest.json").read_text())["metrics"]
+        for name in ("max_energy_drift", "max_constraint_drift"):
+            assert 0.0 < metrics[name] <= 1e-6
+
     def test_remainder_outputs(self, tmp_path):
         cfg = write_config(tmp_path, "r.cfg", REMAINDER_CFG)
         out = tmp_path / "out"

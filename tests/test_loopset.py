@@ -7,7 +7,10 @@ Oracles:
   (independent of the package's own quadrature);
 - a rational-direction enumeration for the flat torus: a direction loops
   within tolerance iff the covering-plane ray passes within tolerance of
-  some nonzero lattice point 2 pi m reachable before t_max.
+  some nonzero lattice point 2 pi m reachable before t_max;
+- a step-by-step march written out below (one RK4 step, both guards and
+  one closest-approach segment at a time), which the blocked march must
+  reproduce bit for bit.
 """
 
 import math
@@ -300,3 +303,236 @@ class TestNaN:
             loopset_fraction(surface, np.array([1.0, 0.3]), 4, 0.5, 1e-3)
         with pytest.raises(ArithmeticError, match="energy drift nan"):
             integrate_geodesic(surface, np.array([1.0, 0.3]), 0.2, 0.5)
+
+
+# --------------------------------------------------------------------------
+# the step-by-step march, as loopset.py ran it before it marched in blocks
+# --------------------------------------------------------------------------
+
+def ref_accel(a, x, v):
+    if a is None:
+        return np.zeros_like(v)
+    ax = a * x
+    return -(np.sum(a * v * v, axis=1) / np.sum(ax * ax, axis=1))[:, None] * ax
+
+
+def ref_rk4_step(a, x, v, h):
+    k1x = v
+    k1v = ref_accel(a, x, v)
+    k2x = v + 0.5 * h * k1v
+    k2v = ref_accel(a, x + 0.5 * h * k1x, k2x)
+    k3x = v + 0.5 * h * k2v
+    k3v = ref_accel(a, x + 0.5 * h * k2x, k3x)
+    k4x = v + h * k3v
+    k4v = ref_accel(a, x + h * k3x, k4x)
+    x_new = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+    v_new = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    return x_new, v_new
+
+
+def ref_march(surface, x, v, steps, h):
+    """Yield (x, energy drift, constraint drift) of every step, each the
+    step's own value; raise as the guards do, reading the tolerances from
+    the module at call time."""
+    a = loopset._quadric(surface)
+    for _ in range(steps):
+        x, v = ref_rk4_step(a, x, v, h)
+        energy = float(np.max(np.abs(np.sum(v * v, axis=1) - 1.0)))
+        if not energy <= loopset._ENERGY_TOL:
+            raise ArithmeticError(
+                f"energy drift {energy:.3e} exceeds {loopset._ENERGY_TOL}")
+        level = 0.0
+        if a is not None:
+            level = float(np.max(np.abs(np.sum(a * x * x, axis=1) - 1.0)))
+            if not level <= loopset._CONSTRAINT_TOL:
+                raise ArithmeticError(f"constraint drift {level:.3e} "
+                                      f"exceeds {loopset._CONSTRAINT_TOL}")
+        yield x, energy, level
+
+
+def ref_segment_min(rel, delta):
+    dd = np.sum(delta * delta, axis=1)
+    s = -np.sum(rel * delta, axis=1) / np.where(dd > 0.0, dd, 1.0)
+    s = np.clip(s, 0.0, 1.0)
+    closest = rel + s[:, None] * delta
+    return np.sqrt(np.sum(closest * closest, axis=1)), s
+
+
+def ref_angles(n, seed):
+    return TWO_PI * (np.arange(n) + np.random.default_rng(seed).random(n)) / n
+
+
+def ref_loopset(surface, x0, n, t_max, tol, seed, t_min, h=1e-3):
+    """(first return times, min distances, energy drift, constraint drift)."""
+    angles = ref_angles(n, seed)
+    pos, v = loopset._launch(surface, np.asarray(x0, dtype=float), angles)
+    base = pos[0]
+    torus = surface.kind == "torus"
+    rel = loopset._wrap(pos - base[None, :]) if torus else pos - base[None, :]
+    min_d = np.full(n, np.inf)
+    ret_t = np.full(n, -1.0)
+    drift = level = 0.0
+    steps = int(round(t_max / h))
+    for step, (new_pos, energy, lvl) in enumerate(
+            ref_march(surface, pos, v, steps, h)):
+        drift, level = max(drift, energy), max(level, lvl)
+        delta = new_pos - pos
+        t0 = step * h
+        if t0 + h >= t_min:
+            if t0 < t_min:
+                frac = (t_min - t0) / h
+                seg_start = rel + frac * delta
+                seg_delta = (1.0 - frac) * delta
+                seg_t0, seg_len = t_min, (1.0 - frac) * h
+            else:
+                seg_start, seg_delta = rel, delta
+                seg_t0, seg_len = t0, h
+            d, s = ref_segment_min(seg_start, seg_delta)
+            np.minimum(min_d, d, out=min_d)
+            hit = (ret_t < 0.0) & (d <= tol)
+            if np.any(hit):
+                ret_t[hit] = seg_t0 + s[hit] * seg_len
+        rel = loopset._wrap(rel + delta) if torus else new_pos - base[None, :]
+        pos = new_pos
+    return ret_t, min_d, drift, level
+
+
+def ref_path(surface, x0, angle, t_max, h=1e-3):
+    x, v = loopset._launch(surface, np.asarray(x0, dtype=float),
+                           np.array([float(angle)]))
+    steps = int(round(t_max / h))
+    positions = [x[0]]
+    drift = 0.0
+    for x, energy, _ in ref_march(surface, x, v, steps, h):
+        positions.append(x[0])
+        drift = max(drift, energy)
+    return np.array(positions), drift
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def block_steps(n):
+    return max(1, loopset._BLOCK_ROWS // n)
+
+
+SURFACES = [SurfaceSpec(kind="sphere"), SurfaceSpec(kind="ellipsoid", c=0.6),
+            SurfaceSpec(kind="ellipsoid", c=1.7), SurfaceSpec(kind="torus")]
+SURFACE_IDS = ["sphere", "ellipsoid0.6", "ellipsoid1.7", "torus"]
+
+
+def base_point(surface):
+    return np.array([0.3, 1.2]) if surface.kind == "torus" else \
+        np.array([0.9, 0.4])
+
+
+def step_count(kind, b):
+    """1, b - 1, b, b + 1, or 2b + 3 (not a multiple of b unless b = 1)."""
+    return {"one": 1, "b-1": max(1, b - 1), "b": b, "b+1": b + 1,
+            "2b+3": 2 * b + 3}[kind]
+
+
+STEP_KINDS = ["one", "b-1", "b", "b+1", "2b+3"]
+
+
+class TestBlockedMarch:
+    # the blocked march must give every output bit for bit as the
+    # step-by-step march above, whatever the block boundaries cut
+
+    @pytest.mark.parametrize("surface", SURFACES, ids=SURFACE_IDS)
+    @pytest.mark.parametrize("n", [1, 7, 64, 300])
+    @pytest.mark.parametrize("steps_kind", STEP_KINDS)
+    # t_min 0.3 of a step into a segment halfway through the first block,
+    # or exactly on the first block edge past the start (the start itself
+    # when the run is one block or less)
+    @pytest.mark.parametrize("t_min_kind", ["mid-block", "block-edge"])
+    def test_loopset_bit_equal_to_step_by_step(self, surface, n, steps_kind,
+                                               t_min_kind):
+        h = 1e-3
+        b = block_steps(n)
+        steps = step_count(steps_kind, b)
+        if t_min_kind == "mid-block":
+            t_min = (min(b // 2, steps - 1) + 0.3) * h
+        else:
+            t_min = b * h if steps > b else 0.0
+        x0 = base_point(surface)
+        # t_min + 2e-4 sits between the distance at t_min and the largest
+        # one, so some directions return on the first segment and some
+        # later or never
+        tol = t_min + 2e-4
+        got = loopset_fraction(surface, x0, n, steps * h, tol, seed=4,
+                               t_min=t_min)
+        ret_t, min_d, drift, level = ref_loopset(surface, x0, n, steps * h,
+                                                 tol, 4, t_min)
+        assert np.array_equal(bits(got.first_return_times), bits(ret_t))
+        assert np.array_equal(bits(got.min_distances), bits(min_d))
+        assert got.max_energy_drift == drift
+        assert got.max_constraint_drift == level
+
+    # geodesics that come back after t = 5: the first-return search runs
+    # in blocks well past t_min (0.1, where every distance is near 0.1)
+    @pytest.mark.parametrize("surface, x0, tol", [
+        (SURFACES[0], (0.9, 0.4), 1e-3), (SURFACES[1], (0.9, 0.4), 5e-2),
+        (SURFACES[2], (1.5, 0.4), 5e-2), (SURFACES[3], (0.3, 1.2), 9.5e-2)],
+        ids=SURFACE_IDS)
+    def test_long_loopset_bit_equal_to_step_by_step(self, surface, x0, tol):
+        got = loopset_fraction(surface, x0, 64, 6.5, tol, seed=1)
+        ret_t, min_d, drift, level = ref_loopset(surface, x0, 64, 6.5, tol,
+                                                 1, 0.1)
+        assert np.any(ret_t > 5.0)     # the check is not vacuous
+        assert np.array_equal(bits(got.first_return_times), bits(ret_t))
+        assert np.array_equal(bits(got.min_distances), bits(min_d))
+        assert got.max_energy_drift == drift
+        assert got.max_constraint_drift == level
+
+    @pytest.mark.parametrize("surface", SURFACES, ids=SURFACE_IDS)
+    @pytest.mark.parametrize("steps_kind", STEP_KINDS)
+    def test_path_bit_equal_to_step_by_step(self, surface, steps_kind):
+        h = 1e-3
+        steps = step_count(steps_kind, block_steps(1))
+        x0 = base_point(surface)
+        got = integrate_geodesic(surface, x0, 0.7, steps * h)
+        positions, drift = ref_path(surface, x0, 0.7, steps * h)
+        assert np.array_equal(bits(got.positions), bits(positions))
+        assert got.max_energy_drift == drift
+
+
+class TestGuardTiming:
+    # a guard that sees a whole block must still raise at the first step
+    # past its tolerance, with that step's value: the step-by-step march
+    # raises the same message
+    @pytest.mark.parametrize("name, what", [("_ENERGY_TOL", "energy"),
+                                            ("_CONSTRAINT_TOL", "constraint")])
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_first_violation_mid_block(self, monkeypatch, name, what, n):
+        h, steps = 1e-3, 1500
+        b = block_steps(n)
+        surface = SurfaceSpec(kind="ellipsoid", c=1.5)
+        x0 = np.array([1.0, 0.3])
+        angles = np.zeros(1) if n == 1 else ref_angles(n, 5)
+        pos, v = loopset._launch(surface, x0, angles)
+        column = 1 if what == "energy" else 2
+        drifts = np.array([r[column] for r in
+                           ref_march(surface, pos, v, steps, h)])
+        # a step that sets a new record mid-block, in a block that later
+        # climbs higher still: its predecessor record is the tolerance
+        record = np.maximum.accumulate(drifts)
+        picks = [j for j in range(1, steps)
+                 if drifts[j] > record[j - 1] and 0 < j % b < b - 1
+                 and f"{record[min(steps, (j // b + 1) * b) - 1]:.3e}"
+                 != f"{drifts[j]:.3e}"]
+        assert picks
+        j = picks[len(picks) // 2]
+        tol = float(record[j - 1])
+        monkeypatch.setattr(loopset, name, tol)
+        with pytest.raises(ArithmeticError) as want:
+            for _ in ref_march(surface, pos, v, steps, h):
+                pass
+        assert str(want.value) == f"{what} drift {drifts[j]:.3e} exceeds {tol}"
+        with pytest.raises(ArithmeticError) as got:
+            if n == 1:
+                integrate_geodesic(surface, x0, 0.0, steps * h)
+            else:
+                loopset_fraction(surface, x0, n, steps * h, 1e-3, seed=5)
+        assert str(got.value) == str(want.value)
