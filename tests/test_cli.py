@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from specproj.cli import convergence_report, main
-from specproj.config import ConfigError, load_config
+from specproj.config import ConfigError, config_as_text, load_config
 from specproj.models import SphereModel, TorusModel
 
 
@@ -266,6 +266,77 @@ class TestManifestRoundTrip:
         assert main([kind, "--config", cfg2, "--out", str(out2)]) == 0
         for name in manifest["outputs"]:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+TORUS3_KERNEL_CFG = """
+[kernel]
+model = torus3
+window_lo = 3
+window_hi = 7
+x0 = 0.0,0.0,0.0
+alpha = 1:0:1
+probe_radius = 0.3
+points_per_axis = 2
+"""
+
+ELLIPSOID_LOOPSET_CFG = LOOPSET_CFG.replace("sphere", "ellipsoid") + """\
+c = 1.5
+t_min = 0.5
+step = 5e-4
+"""
+
+
+class TestConfigText:
+    """config_as_text is the manifest's config: its exact text is pinned
+    here, and loading it back gives the same config."""
+
+    @pytest.mark.parametrize("kind,cfg_text,seed,expected", [
+        ("scaling", SCALING_CFG, None,
+         "[scaling]\nmodel = torus2\nx0 = 0.0,0.0\nlambdas = 20.0,40.0\n"
+         "delta = 1.0\nmax_j = 1\nmax_k = 0\nprobe_radius = 1.0\n"
+         "points_per_axis = 3\nseed = 0\n"),
+        ("remainder", REMAINDER_CFG, None,
+         "[remainder]\nmodel = torus2\nx0 = 0.0,0.0\n"
+         "lambdas = 10.0,20.0,40.0,80.0\nalpha = 0:0\nbeta = 0:0\n"
+         "probe_radius = 0.1\npoints_per_axis = 2\nseed = 0\n"),
+        ("randomwave", RANDOMWAVE_CFG, None,
+         "[randomwave]\nmodel = torus2\nwindow_lo = 2.0\nwindow_hi = 5.0\n"
+         "x0 = 0.0,0.0\nsamples = 64\nprobe_radius = 0.4\n"
+         "points_per_axis = 2\nseed = 6\ndump_samples = false\n"),
+        ("loopset", LOOPSET_CFG, None,
+         "[loopset]\nsurface = sphere\nc = 1.0\nx0 = 1.0,0.3\n"
+         "n_directions = 8\nt_max = 6.5\ntol = 0.001\nt_min = 0.1\n"
+         "step = 0.001\nseed = 2\n"),
+        ("kernel", KERNEL_CFG, None,
+         "[kernel]\nmodel = sphere2\nwindow_lo = 3.0\nwindow_hi = 7.0\n"
+         "x0 = 0.0,0.0,1.0\nalpha = 0:0\nbeta = 0:0\nprobe_radius = 0.3\n"
+         "points_per_axis = 2\nseed = 0\n"),
+        ("kernel", TORUS3_KERNEL_CFG, None,
+         "[kernel]\nmodel = torus3\nwindow_lo = 3.0\nwindow_hi = 7.0\n"
+         "x0 = 0.0,0.0,0.0\nalpha = 1:0:1\nbeta = 0:0:0\nprobe_radius = 0.3\n"
+         "points_per_axis = 2\nseed = 0\n"),
+        ("loopset", ELLIPSOID_LOOPSET_CFG, None,
+         "[loopset]\nsurface = ellipsoid\nc = 1.5\nx0 = 1.0,0.3\n"
+         "n_directions = 8\nt_max = 6.5\ntol = 0.001\nt_min = 0.5\n"
+         "step = 0.0005\nseed = 2\n"),
+        ("randomwave", RANDOMWAVE_CFG + "dump_samples = yes\n", None,
+         "[randomwave]\nmodel = torus2\nwindow_lo = 2.0\nwindow_hi = 5.0\n"
+         "x0 = 0.0,0.0\nsamples = 64\nprobe_radius = 0.4\n"
+         "points_per_axis = 2\nseed = 6\ndump_samples = true\n"),
+        ("loopset", LOOPSET_CFG, 11,
+         "[loopset]\nsurface = sphere\nc = 1.0\nx0 = 1.0,0.3\n"
+         "n_directions = 8\nt_max = 6.5\ntol = 0.001\nt_min = 0.1\n"
+         "step = 0.001\nseed = 11\n"),
+    ])
+    def test_text_is_pinned_and_round_trips(self, tmp_path, kind, cfg_text,
+                                            seed, expected):
+        config = load_config(write_config(tmp_path, "a.cfg", cfg_text), kind,
+                             seed_override=seed)
+        text = config_as_text(kind, config)
+        assert text == expected
+        again = load_config(write_config(tmp_path, "b.cfg", text), kind)
+        assert again == config
+        assert config_as_text(kind, again) == text
 
 
 class TestConvergenceReport:
