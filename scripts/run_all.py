@@ -3,12 +3,14 @@
 
 Usage: python3 scripts/run_all.py [outdir]
 
-Each CSV/JSONL output is listed with its sha256, so two runs' listings
-`diff` clean exactly when their outputs are byte-identical (manifest.json
-holds the wall time and is listed without one).
+Each CSV/JSONL output is listed with its sha256, and manifest.json with
+the sha256 of the config text it embeds (the manifest as a whole holds the
+wall time), so two runs' listings `diff` clean exactly when their outputs
+and their rendered configs are byte-identical.
 """
 
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -33,6 +35,10 @@ def run_all(out_root: Path) -> int:
                 if produced.suffix in (".csv", ".jsonl"):
                     digest = hashlib.sha256(produced.read_bytes()).hexdigest()
                     line += f" sha256={digest}"
+                elif produced.name == "manifest.json":
+                    config = json.loads(produced.read_text())["config"]
+                    digest = hashlib.sha256(config.encode()).hexdigest()
+                    line += f" config_sha256={digest}"
                 print(line)
     return worst
 

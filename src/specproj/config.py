@@ -1,19 +1,21 @@
 """Experiment configuration: INI-style files, one experiment per file.
 
 Each config file has exactly one section whose name is the experiment kind
-(kernel, scaling, remainder, randomwave, loopset).  Unknown keys are a
-hard error; every parameter is validated before any computation starts.
-Frequency budgets are enforced here as well so oversized requests fail
-fast with a budget status rather than a validation status.
+(kernel, scaling, remainder, randomwave, loopset).  One key table per kind
+drives both `load_config` and `config_as_text`.  Unknown keys are a hard
+error, floats must be finite, and every parameter is validated before any
+computation starts.  Frequency budgets are enforced here as well so
+oversized requests fail fast with a budget status rather than a
+validation status.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
-from typing import Union
+from typing import Any, Callable, NamedTuple, Union
 
 from .models import (
     MAX_FREQUENCY,
@@ -61,35 +63,61 @@ def format_multi_index(entries) -> str:
     return ":".join(str(int(e)) for e in entries)
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(p) for p in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"bad float list {text!r}: {exc}") from None
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite float")
+    return value
 
 
-def _check_budget(value: float, what: str) -> None:
-    if value > MAX_FREQUENCY:
-        raise BudgetError(
-            f"{what}={value:g} exceeds the frequency budget {MAX_FREQUENCY:g}"
-        )
+def _boolean(text: str) -> bool:
+    word = text.strip().lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"{text!r} is not a boolean")
+    return word in ("1", "true", "yes", "on")
 
 
-def _check_probe(model: Model, radius: float) -> None:
-    if not (0.0 < radius < model.injectivity_radius):
-        raise ConfigError(
-            f"probe_radius must lie in (0, {model.injectivity_radius:g})"
-        )
+class _Codec(NamedTuple):
+    """How one value type is read from and written to INI text."""
+
+    parse: Callable[[str], Any]
+    render: Callable[[Any], str]
 
 
-def _check_x0(model: Model, x0: tuple[float, ...]) -> None:
-    # sphere points live in ambient R^3; torus points in [0, 2pi)^n
-    expected = 3 if isinstance(model, SphereModel) else model.dim
-    if len(x0) != expected:
-        raise ConfigError(f"x0 needs {expected} coordinates")
-    if isinstance(model, SphereModel):
-        if abs(math.sqrt(sum(c * c for c in x0)) - 1.0) > 1e-9:
-            raise ConfigError("sphere x0 must be a unit vector")
+_STR = _Codec(str, str)
+_INT = _Codec(int, str)
+_FLOAT = _Codec(_finite, repr)
+_FLOATS = _Codec(lambda text: tuple(_finite(p) for p in text.split(",")),
+                 lambda values: ",".join(map(repr, values)))
+# any length here: the length is checked against the model across keys
+_MULTI_INDEX = _Codec(
+    lambda text: parse_multi_index(text, text.count(":") + 1),
+    format_multi_index)
+_BOOL = _Codec(_boolean, lambda flag: "true" if flag else "false")
+_MODEL = _Codec(parse_model, lambda model: model.model_id)
+
+
+class _Key(NamedTuple):
+    """One row of a kind's key table."""
+
+    name: str
+    codec: _Codec
+    default: Any = None    # None: required; a callable reads earlier keys
+    ok: Callable[[Any], bool] | None = None    # a check on this key alone
+    rule: str = ""         # what `ok` asks, for its error message
+
+
+def _increasing(lambdas: tuple[float, ...]) -> bool:
+    return lambdas[0] > 0 and all(b > a for a, b in zip(lambdas, lambdas[1:]))
+
+
+# alpha and beta default to no derivative
+_ORDERS = tuple(_Key(name, _MULTI_INDEX,
+                     lambda values: (0,) * values["model"].dim)
+                for name in ("alpha", "beta"))
+_WINDOW = (_Key("window_lo", _FLOAT), _Key("window_hi", _FLOAT))
+_POINTS = _Key("points_per_axis", _INT, 5, lambda n: n >= 1, "be >= 1")
+_SEED = _Key("seed", _INT, 0, lambda n: n >= 0, "be >= 0")
 
 
 @dataclass(frozen=True)
@@ -101,16 +129,7 @@ class KernelConfig:
     beta: tuple[int, ...]
     probe_radius: float
     points_per_axis: int
-    seed: int = 0
-
-    def validate(self) -> None:
-        _check_x0(self.model, self.x0)
-        _check_probe(self.model, self.probe_radius)
-        if self.points_per_axis < 1:
-            raise ConfigError("points_per_axis must be >= 1")
-        if sum(self.alpha) > 4 or sum(self.beta) > 4:
-            raise ConfigError("derivative orders above 4 are unsupported")
-        _check_budget(self.window.hi, "window_hi")
+    seed: int
 
 
 @dataclass(frozen=True)
@@ -123,22 +142,7 @@ class ScalingConfig:
     max_k: int
     probe_radius: float
     points_per_axis: int
-    seed: int = 0
-
-    def validate(self) -> None:
-        _check_x0(self.model, self.x0)
-        _check_probe(self.model, self.probe_radius)
-        if not all(b > a for a, b in zip(self.lambdas, self.lambdas[1:])):
-            raise ConfigError("lambdas must be strictly increasing")
-        if not self.lambdas or self.lambdas[0] <= 0:
-            raise ConfigError("lambdas must be positive")
-        if self.delta <= 0:
-            raise ConfigError("delta must be > 0")
-        if not (0 <= self.max_j <= 2 and 0 <= self.max_k <= 2):
-            raise ConfigError("derivative orders j, k must lie in [0, 2]")
-        if self.points_per_axis < 1:
-            raise ConfigError("points_per_axis must be >= 1")
-        _check_budget(max(self.lambdas) + self.delta, "lambda_max+delta")
+    seed: int
 
 
 @dataclass(frozen=True)
@@ -150,22 +154,7 @@ class RemainderConfig:
     beta: tuple[int, ...]
     probe_radius: float
     points_per_axis: int
-    seed: int = 0
-
-    def validate(self) -> None:
-        _check_x0(self.model, self.x0)
-        _check_probe(self.model, self.probe_radius)
-        if len(self.lambdas) < 4:
-            raise ConfigError("need at least 4 lambdas for an exponent fit")
-        if not all(b > a for a, b in zip(self.lambdas, self.lambdas[1:])):
-            raise ConfigError("lambdas must be strictly increasing")
-        if self.lambdas[0] <= 0:
-            raise ConfigError("lambdas must be positive")
-        if self.points_per_axis < 1:
-            raise ConfigError("points_per_axis must be >= 1")
-        if sum(self.alpha) + sum(self.beta) > 4:
-            raise ConfigError("total derivative order above 4 is unsupported")
-        _check_budget(max(self.lambdas), "lambda_max")
+    seed: int
 
 
 @dataclass(frozen=True)
@@ -176,17 +165,8 @@ class RandomwaveConfig:
     samples: int
     probe_radius: float
     points_per_axis: int
-    seed: int = 0
-    dump_samples: bool = False
-
-    def validate(self) -> None:
-        _check_x0(self.model, self.x0)
-        _check_probe(self.model, self.probe_radius)
-        if self.samples < 2:
-            raise ConfigError("samples must be >= 2")
-        if self.points_per_axis < 1:
-            raise ConfigError("points_per_axis must be >= 1")
-        _check_budget(self.window.hi, "window_hi")
+    seed: int
+    dump_samples: bool
 
 
 @dataclass(frozen=True)
@@ -196,27 +176,57 @@ class LoopsetConfig:
     n_directions: int
     t_max: float
     tol: float
-    t_min: float = 0.1
-    step: float = 1e-3
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.n_directions < 1:
-            raise ConfigError("n_directions must be >= 1")
-        if self.tol <= 0:
-            raise ConfigError("tol must be > 0")
-        if not (0 < self.step <= 1e-3):
-            raise ConfigError("step must lie in (0, 1e-3]")
-        if self.t_max <= self.t_min:
-            raise ConfigError("t_max must exceed t_min")
-        if len(self.x0) != 2:
-            raise ConfigError("x0 needs 2 coordinates")
+    t_min: float
+    step: float
+    seed: int
 
 
 ExperimentConfig = Union[KernelConfig, ScalingConfig, RemainderConfig,
                          RandomwaveConfig, LoopsetConfig]
 
-EXPERIMENT_KINDS = ("kernel", "scaling", "remainder", "randomwave", "loopset")
+# kind -> (config class, key table); `model` first, as later rows read it
+_TABLES = {
+    "kernel": (KernelConfig, (
+        _Key("model", _MODEL), *_WINDOW, _Key("x0", _FLOATS), *_ORDERS,
+        _Key("probe_radius", _FLOAT, 0.5), _POINTS, _SEED)),
+    "scaling": (ScalingConfig, (
+        _Key("model", _MODEL), _Key("x0", _FLOATS),
+        _Key("lambdas", _FLOATS, None, _increasing,
+             "be positive and strictly increasing"),
+        _Key("delta", _FLOAT, 1.0, lambda d: d > 0, "be > 0"),
+        _Key("max_j", _INT, 1, lambda j: 0 <= j <= 2, "lie in [0, 2]"),
+        _Key("max_k", _INT, 1, lambda k: 0 <= k <= 2, "lie in [0, 2]"),
+        _Key("probe_radius", _FLOAT, 2.0), _POINTS._replace(default=9),
+        _SEED)),
+    "remainder": (RemainderConfig, (
+        _Key("model", _MODEL), _Key("x0", _FLOATS),
+        _Key("lambdas", _FLOATS, None,
+             lambda lambdas: len(lambdas) >= 4 and _increasing(lambdas),
+             "hold >= 4 positive increasing values (for an exponent fit)"),
+        *_ORDERS, _Key("probe_radius", _FLOAT, 0.1), _POINTS, _SEED)),
+    "randomwave": (RandomwaveConfig, (
+        _Key("model", _MODEL), *_WINDOW, _Key("x0", _FLOATS),
+        _Key("samples", _INT, None, lambda n: n >= 2, "be >= 2"),
+        _Key("probe_radius", _FLOAT, 0.5), _POINTS, _SEED,
+        _Key("dump_samples", _BOOL, False))),
+    "loopset": (LoopsetConfig, (
+        _Key("surface", _STR), _Key("c", _FLOAT, 1.0),
+        _Key("x0", _FLOATS, None, lambda x0: len(x0) == 2,
+             "have 2 coordinates"),
+        _Key("n_directions", _INT, None, lambda n: n >= 1, "be >= 1"),
+        _Key("t_max", _FLOAT),
+        _Key("tol", _FLOAT, None, lambda tol: tol > 0, "be > 0"),
+        _Key("t_min", _FLOAT, 0.1),
+        _Key("step", _FLOAT, 1e-3, lambda h: 0 < h <= 1e-3,
+             "lie in (0, 1e-3]"),
+        _SEED)),
+}
+
+# config fields made of several keys: field -> (type, keys of its fields)
+_PARTS = {"window": (SpectralWindow, ("window_lo", "window_hi")),
+          "surface": (SurfaceSpec, ("surface", "c"))}
+
+EXPERIMENT_KINDS = tuple(_TABLES)
 
 
 def _section_items(path: Path, kind: str) -> dict[str, str]:
@@ -235,164 +245,86 @@ def _section_items(path: Path, kind: str) -> dict[str, str]:
     return dict(parser.items(kind))
 
 
-class _KeyReader:
-    """Pulls typed values out of a section and tracks leftovers."""
-
-    def __init__(self, items: dict[str, str]):
-        self._items = dict(items)
-
-    def take(self, key: str, default: str | None = None) -> str:
-        if key in self._items:
-            return self._items.pop(key)
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-
-    def take_float(self, key: str, default: str | None = None) -> float:
-        raw = self.take(key, default)
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"key {key!r} must be a float, got {raw!r}") from None
-
-    def take_int(self, key: str, default: str | None = None) -> int:
-        raw = self.take(key, default)
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"key {key!r} must be an int, got {raw!r}") from None
-
-    def take_bool(self, key: str, default: str) -> bool:
-        raw = self.take(key, default).strip().lower()
-        if raw in ("1", "true", "yes", "on"):
-            return True
-        if raw in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"key {key!r} must be a boolean, got {raw!r}")
-
-    def finish(self) -> None:
-        if self._items:
-            raise ConfigError(f"unknown keys: {sorted(self._items)}")
-
-
-def _window_from(reader: _KeyReader) -> SpectralWindow:
-    lo = reader.take_float("window_lo")
-    hi = reader.take_float("window_hi")
-    try:
-        return SpectralWindow(lo=lo, hi=hi)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def _check_across(kind: str, values: dict) -> None:
+    """The checks that read more than one key; each fails on NaN."""
+    model = values.get("model")
+    if model is not None:
+        x0 = values["x0"]
+        # sphere points live in ambient R^3; torus points in [0, 2pi)^n
+        expected = 3 if isinstance(model, SphereModel) else model.dim
+        if len(x0) != expected:
+            raise ConfigError(f"x0 needs {expected} coordinates")
+        if isinstance(model, SphereModel) and not (
+                abs(math.sqrt(sum(c * c for c in x0)) - 1.0) <= 1e-9):
+            raise ConfigError("sphere x0 must be a unit vector")
+        if not (0.0 < values["probe_radius"] < model.injectivity_radius):
+            raise ConfigError("probe_radius must lie in "
+                              f"(0, {model.injectivity_radius:g})")
+    if "alpha" in values:
+        for name in ("alpha", "beta"):
+            if len(values[name]) != model.dim:
+                raise ConfigError(f"{name} needs {model.dim} entries")
+        if not (sum(values["alpha"]) + sum(values["beta"]) <= 4):
+            raise ConfigError("total derivative order above 4 is unsupported")
+    if kind == "loopset" and not (values["t_max"] > values["t_min"]):
+        raise ConfigError("t_max must exceed t_min")
+    if kind in ("kernel", "randomwave"):
+        top, what = values["window"].hi, "window_hi"
+    elif kind == "scaling":
+        top = max(values["lambdas"]) + values["delta"]
+        what = "lambda_max+delta"
+    elif kind == "remainder":
+        top, what = max(values["lambdas"]), "lambda_max"
+    else:
+        return
+    if not (top <= MAX_FREQUENCY):
+        raise BudgetError(
+            f"{what}={top:g} exceeds the frequency budget {MAX_FREQUENCY:g}")
 
 
 def load_config(path, kind: str,
                 seed_override: int | None = None) -> ExperimentConfig:
     """Parse, validate, and freeze one experiment configuration."""
-    if kind not in EXPERIMENT_KINDS:
+    if kind not in _TABLES:
         raise ConfigError(f"unknown experiment kind {kind!r}")
+    config_class, keys = _TABLES[kind]
     items = _section_items(Path(path), kind)
     if seed_override is not None:
         items["seed"] = str(seed_override)
-    reader = _KeyReader(items)
-
-    if kind == "loopset":
-        surf_kind = reader.take("surface")
-        c = reader.take_float("c", "1.0")
-        try:
-            surface = SurfaceSpec(kind=surf_kind, c=c)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        config = LoopsetConfig(
-            surface=surface,
-            x0=tuple(_parse_floats(reader.take("x0"))),  # type: ignore[arg-type]
-            n_directions=reader.take_int("n_directions"),
-            t_max=reader.take_float("t_max"),
-            tol=reader.take_float("tol"),
-            t_min=reader.take_float("t_min", "0.1"),
-            step=reader.take_float("step", "1e-3"),
-            seed=reader.take_int("seed", "0"),
-        )
-        reader.finish()
-        config.validate()
-        return config
-
-    model = parse_model(reader.take("model"))
-    x0 = _parse_floats(reader.take("x0"))
-
-    if kind == "kernel":
-        config = KernelConfig(
-            model=model,
-            window=_window_from(reader),
-            x0=x0,
-            alpha=parse_multi_index(reader.take("alpha", format_multi_index(
-                [0] * model.dim)), model.dim),
-            beta=parse_multi_index(reader.take("beta", format_multi_index(
-                [0] * model.dim)), model.dim),
-            probe_radius=reader.take_float("probe_radius", "0.5"),
-            points_per_axis=reader.take_int("points_per_axis", "5"),
-            seed=reader.take_int("seed", "0"),
-        )
-    elif kind == "scaling":
-        config = ScalingConfig(
-            model=model,
-            x0=x0,
-            lambdas=_parse_floats(reader.take("lambdas")),
-            delta=reader.take_float("delta", "1.0"),
-            max_j=reader.take_int("max_j", "1"),
-            max_k=reader.take_int("max_k", "1"),
-            probe_radius=reader.take_float("probe_radius", "2.0"),
-            points_per_axis=reader.take_int("points_per_axis", "9"),
-            seed=reader.take_int("seed", "0"),
-        )
-    elif kind == "remainder":
-        config = RemainderConfig(
-            model=model,
-            x0=x0,
-            lambdas=_parse_floats(reader.take("lambdas")),
-            alpha=parse_multi_index(reader.take("alpha", format_multi_index(
-                [0] * model.dim)), model.dim),
-            beta=parse_multi_index(reader.take("beta", format_multi_index(
-                [0] * model.dim)), model.dim),
-            probe_radius=reader.take_float("probe_radius", "0.1"),
-            points_per_axis=reader.take_int("points_per_axis", "5"),
-            seed=reader.take_int("seed", "0"),
-        )
-    else:
-        config = RandomwaveConfig(
-            model=model,
-            window=_window_from(reader),
-            x0=x0,
-            samples=reader.take_int("samples"),
-            probe_radius=reader.take_float("probe_radius", "0.5"),
-            points_per_axis=reader.take_int("points_per_axis", "5"),
-            seed=reader.take_int("seed", "0"),
-            dump_samples=reader.take_bool("dump_samples", "false"),
-        )
-    reader.finish()
-    config.validate()
-    return config
+    values: dict = {}
+    for key in keys:
+        if key.name in items:
+            try:
+                values[key.name] = key.codec.parse(items.pop(key.name))
+            except ValueError as exc:
+                raise ConfigError(f"key {key.name!r}: {exc}") from None
+        elif key.default is None:
+            raise ConfigError(f"missing required key {key.name!r}")
+        else:
+            values[key.name] = (key.default(values) if callable(key.default)
+                                else key.default)
+        if key.ok is not None and not key.ok(values[key.name]):
+            raise ConfigError(f"{key.name} must {key.rule}")
+    if items:
+        raise ConfigError(f"unknown keys: {sorted(items)}")
+    for name, (part, names) in _PARTS.items():
+        if names[0] in values:
+            try:
+                values[name] = part(*[values.pop(n) for n in names])
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
+    _check_across(kind, values)
+    return config_class(**values)
 
 
 def config_as_text(kind: str, config: ExperimentConfig) -> str:
     """Render a config back to INI text (manifest round-trips through this)."""
-    lines = [f"[{kind}]"]
-    for field in fields(config):
-        value = getattr(config, field.name)
-        if field.name == "model":
-            lines.append(f"model = {value.model_id}")
-        elif field.name == "surface":
-            lines.append(f"surface = {value.kind}")
-            lines.append(f"c = {value.c!r}")
-        elif field.name == "window":
-            lines.append(f"window_lo = {value.lo!r}")
-            lines.append(f"window_hi = {value.hi!r}")
-        elif field.name in ("alpha", "beta"):
-            lines.append(f"{field.name} = {format_multi_index(value)}")
-        elif isinstance(value, tuple):
-            lines.append(f"{field.name} = {','.join(repr(float(v)) for v in value)}")
-        elif isinstance(value, bool):
-            lines.append(f"{field.name} = {'true' if value else 'false'}")
-        elif isinstance(value, float):
-            lines.append(f"{field.name} = {value!r}")
-        else:
-            lines.append(f"{field.name} = {value}")
+    values = {field.name: getattr(config, field.name)
+              for field in fields(config)}
+    for name, (_, names) in _PARTS.items():
+        if name in values:
+            values.update(zip(names, astuple(values.pop(name))))
+    lines = [f"[{kind}]"] + [
+        f"{key.name} = {key.codec.render(values[key.name])}"
+        for key in _TABLES[kind][1]]
     return "\n".join(lines) + "\n"

@@ -3,6 +3,7 @@ and the manifest round-trip guarantee."""
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +168,42 @@ class TestExitStatuses:
         err = capsys.readouterr().err
         assert err.startswith("error kind=numerical msg=")
         assert "nan" in err
+
+    @pytest.mark.parametrize("kind,cfg_text,flags", [
+        # non-finite floats
+        ("kernel", KERNEL_CFG.replace("x0 = 0.0,0.0,1.0",
+                                      "x0 = nan,0.0,1.0"), []),
+        ("randomwave", RANDOMWAVE_CFG.replace("x0 = 0.0,0.0",
+                                              "x0 = inf,0.0"), []),
+        ("loopset", LOOPSET_CFG.replace("t_max = 6.5", "t_max = nan"), []),
+        ("loopset", LOOPSET_CFG.replace("x0 = 1.0,0.3", "x0 = nan,0.3"), []),
+        # total derivative order 5
+        ("kernel", KERNEL_CFG.replace("alpha = 0:0", "alpha = 2:2")
+                             .replace("beta = 0:0", "beta = 1:0"), []),
+        # negative seeds, from the config and from --seed
+        ("randomwave", RANDOMWAVE_CFG.replace("seed = 6", "seed = -1"), []),
+        ("randomwave", RANDOMWAVE_CFG, ["--seed", "-5"]),
+        ("loopset", LOOPSET_CFG.replace("seed = 2", "seed = -1"), []),
+        ("loopset", LOOPSET_CFG, ["--seed", "-5"]),
+    ], ids=["kernel-x0-nan", "randomwave-x0-inf", "loopset-t_max-nan",
+            "loopset-x0-nan", "kernel-order-5", "randomwave-seed",
+            "randomwave-seed-flag", "loopset-seed", "loopset-seed-flag"])
+    def test_refused_before_any_output(self, tmp_path, capsys, kind,
+                                       cfg_text, flags):
+        cfg = write_config(tmp_path, "bad.cfg", cfg_text)
+        out = tmp_path / "out"
+        assert main([kind, "--config", cfg, "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error kind=validation msg=")
+        assert not out.exists()
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        text = readme.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+        kind = text.split("]", 1)[0].lstrip("[")
+        config = load_config(write_config(tmp_path, "readme.cfg", text), kind)
+        assert config.model.model_id == "torus2"
+        assert config.max_j == 1
 
 
 class TestReports:
