@@ -5,36 +5,10 @@ projector kernels; around them sit the universal rescaling limit, Weyl
 main-term remainders, Gaussian random waves, and geodesic loop statistics.
 """
 
-from .models import (
-    BudgetError,
-    ClusterRecord,
-    ModeList,
-    Model,
-    SphereModel,
-    SpectralWindow,
-    TorusModel,
-    counting_function,
-    distance,
-    exp_map,
-    sphere_clusters,
-    tangent_frame,
-    torus_modes,
-    torus_separation,
-    window_modes,
-)
-from .special import (
-    SphereQuadrature,
-    adaptive_simpson,
-    bessel_j,
-    bessel_j_scaled,
-    legendre_p,
-    legendre_weighted_sum,
-    sphere_quadrature,
-)
+from .models import SphereModel, SpectralWindow, TorusModel, counting_function
 from .kernels import (
     DerivOrder,
     ball_kernel,
-    ball_kernel_deriv,
     ball_kernel_quadrature,
     default_quad_degree,
     limit_kernel,
@@ -42,109 +16,43 @@ from .kernels import (
     limit_kernel_closed_form,
     multi_indices,
     projector_kernel,
-    projector_kernel_deriv,
     rescaled_kernel,
-    sphere_pair_deriv_batch,
     torus_pair_deriv_batch,
 )
 from .remainder import (
-    ExponentFit,
     ProbeGrid,
-    RemainderReport,
     cluster_lambda,
-    remainder_field,
     remainder_sweep,
     scaling_exponent_fit,
 )
-from .randomwave import (
-    WaveEnsemble,
-    empirical_covariance,
-    ensemble_summary_rows,
-    sample_ensemble,
-    torus_half_lattice,
-)
-from .loopset import (
-    GeodesicPath,
-    LoopsetEstimate,
-    SurfaceSpec,
-    closed_form_geodesic,
-    integrate_geodesic,
-    loopset_fraction,
-)
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    KernelConfig,
-    LoopsetConfig,
-    RandomwaveConfig,
-    RemainderConfig,
-    ScalingConfig,
-    load_config,
-)
+from .randomwave import empirical_covariance, sample_ensemble
+from .loopset import SurfaceSpec, loopset_fraction
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetError",
-    "ClusterRecord",
-    "ConfigError",
     "DerivOrder",
-    "ExperimentConfig",
-    "ExponentFit",
-    "GeodesicPath",
-    "KernelConfig",
-    "LoopsetConfig",
-    "LoopsetEstimate",
-    "ModeList",
-    "Model",
     "ProbeGrid",
-    "RandomwaveConfig",
-    "RemainderConfig",
-    "RemainderReport",
-    "ScalingConfig",
     "SphereModel",
-    "SphereQuadrature",
     "SpectralWindow",
     "SurfaceSpec",
     "TorusModel",
-    "WaveEnsemble",
-    "adaptive_simpson",
+    "__version__",
     "ball_kernel",
-    "ball_kernel_deriv",
     "ball_kernel_quadrature",
-    "bessel_j",
-    "bessel_j_scaled",
-    "closed_form_geodesic",
     "cluster_lambda",
     "counting_function",
     "default_quad_degree",
-    "distance",
     "empirical_covariance",
-    "ensemble_summary_rows",
-    "exp_map",
-    "integrate_geodesic",
-    "legendre_p",
-    "legendre_weighted_sum",
     "limit_kernel",
     "limit_kernel_batch",
     "limit_kernel_closed_form",
-    "load_config",
     "loopset_fraction",
     "multi_indices",
     "projector_kernel",
-    "projector_kernel_deriv",
-    "remainder_field",
     "remainder_sweep",
     "rescaled_kernel",
     "sample_ensemble",
     "scaling_exponent_fit",
-    "sphere_clusters",
-    "sphere_pair_deriv_batch",
-    "sphere_quadrature",
-    "tangent_frame",
-    "torus_half_lattice",
-    "torus_modes",
     "torus_pair_deriv_batch",
-    "torus_separation",
-    "window_modes",
 ]

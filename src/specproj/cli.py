@@ -21,6 +21,7 @@ import numpy as np
 
 from .config import (
     EXPERIMENT_KINDS,
+    SEEDED_KINDS,
     ConfigError,
     ExperimentConfig,
     KernelConfig,
@@ -48,16 +49,6 @@ from .reports import write_csv, write_jsonl, write_manifest
 from .special import sphere_quadrature
 
 
-def _probe_pairs(model: Model, radius: float, points_per_axis: int):
-    """All ordered pairs of tangent offsets from a cubical probe grid."""
-    offsets = ProbeGrid(radius=radius,
-                        points_per_axis=points_per_axis).offsets(model.dim)
-    count = offsets.shape[0]
-    us = np.repeat(offsets, count, axis=0)
-    vs = np.tile(offsets, (count, 1))
-    return us, vs
-
-
 def convergence_report(model: Model, x0, lambdas, delta: float, max_j: int,
                        max_k: int, probe_radius: float,
                        points_per_axis: int):
@@ -68,7 +59,8 @@ def convergence_report(model: Model, x0, lambdas, delta: float, max_j: int,
     is integrated once per derivative pair since it does not move.
     """
     x0 = np.asarray(x0, dtype=float)
-    us, vs = _probe_pairs(model, probe_radius, points_per_axis)
+    us, vs = ProbeGrid(radius=probe_radius,
+                       points_per_axis=points_per_axis).pairs(model.dim)
     diffs = us - vs
     reach = float(np.max(np.linalg.norm(diffs, axis=1)))
     if isinstance(model, TorusModel):
@@ -107,10 +99,12 @@ def convergence_report(model: Model, x0, lambdas, delta: float, max_j: int,
     return rows
 
 
-def _run_kernel(config: KernelConfig, out_dir: Path) -> list[str]:
+def _run_kernel(config: KernelConfig, out_dir: Path,
+                metrics: dict) -> list[str]:
     model = config.model
     x0 = np.asarray(config.x0, dtype=float)
-    us, vs = _probe_pairs(model, config.probe_radius, config.points_per_axis)
+    us, vs = ProbeGrid(radius=config.probe_radius,
+                       points_per_axis=config.points_per_axis).pairs(model.dim)
     order = DerivOrder(alpha=config.alpha, beta=config.beta)
     if isinstance(model, TorusModel):
         values = torus_pair_deriv_batch(model, config.window, us - vs, order)
@@ -130,7 +124,8 @@ def _run_kernel(config: KernelConfig, out_dir: Path) -> list[str]:
     return ["kernel_field.csv"]
 
 
-def _run_scaling(config: ScalingConfig, out_dir: Path) -> list[str]:
+def _run_scaling(config: ScalingConfig, out_dir: Path,
+                 metrics: dict) -> list[str]:
     rows = convergence_report(config.model, config.x0, config.lambdas,
                               config.delta, config.max_j, config.max_k,
                               config.probe_radius, config.points_per_axis)
@@ -140,13 +135,12 @@ def _run_scaling(config: ScalingConfig, out_dir: Path) -> list[str]:
 
 
 def _run_remainder(config: RemainderConfig, out_dir: Path,
-                   threads: int) -> list[str]:
+                   metrics: dict) -> list[str]:
     order = DerivOrder(alpha=config.alpha, beta=config.beta)
     probe = ProbeGrid(radius=config.probe_radius,
                       points_per_axis=config.points_per_axis)
     report = remainder_sweep(config.model, np.asarray(config.x0, dtype=float),
-                             probe, config.lambdas, order=order,
-                             threads=threads)
+                             probe, config.lambdas, order=order)
     write_csv(out_dir / "remainder.csv", ["lambda", "sup_remainder"],
               report.csv_rows())
     write_jsonl(out_dir / "remainder_summary.jsonl",
@@ -154,7 +148,8 @@ def _run_remainder(config: RemainderConfig, out_dir: Path,
     return ["remainder.csv", "remainder_summary.jsonl"]
 
 
-def _run_randomwave(config: RandomwaveConfig, out_dir: Path) -> list[str]:
+def _run_randomwave(config: RandomwaveConfig, out_dir: Path,
+                    metrics: dict) -> list[str]:
     model = config.model
     x0 = np.asarray(config.x0, dtype=float)
     offsets = ProbeGrid(radius=config.probe_radius,
@@ -198,25 +193,24 @@ def _run_loopset(config: LoopsetConfig, out_dir: Path,
     return ["loopset.csv"]
 
 
-def run(kind: str, config: ExperimentConfig, out_dir: Path,
-        threads: int = 1) -> list[str]:
-    """Execute one experiment and write its reports plus manifest.json."""
+# kind -> runner(config, out_dir, metrics): it writes the kind's reports,
+# returns their names and puts what the run measured into metrics
+_RUNNERS = {"kernel": _run_kernel, "scaling": _run_scaling,
+            "remainder": _run_remainder, "randomwave": _run_randomwave,
+            "loopset": _run_loopset}
+
+
+def run(kind: str, config: ExperimentConfig, out_dir: Path) -> list[str]:
+    """Execute one experiment and write its reports plus manifest.json.
+
+    The reports create out_dir, so a run refused before its first write
+    leaves nothing behind."""
+    if kind not in _RUNNERS:
+        raise ConfigError(f"unknown experiment kind {kind!r}")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     metrics: dict = {}
     start = time.perf_counter()
-    if kind == "kernel":
-        outputs = _run_kernel(config, out_dir)
-    elif kind == "scaling":
-        outputs = _run_scaling(config, out_dir)
-    elif kind == "remainder":
-        outputs = _run_remainder(config, out_dir, threads)
-    elif kind == "randomwave":
-        outputs = _run_randomwave(config, out_dir)
-    elif kind == "loopset":
-        outputs = _run_loopset(config, out_dir, metrics)
-    else:
-        raise ConfigError(f"unknown experiment kind {kind!r}")
+    outputs = _RUNNERS[kind](config, out_dir, metrics)
     from . import __version__
     write_manifest(out_dir, config_as_text(kind, config), outputs,
                    time.perf_counter() - start, __version__, metrics)
@@ -238,16 +232,14 @@ def main(argv=None) -> int:
         sub = subparsers.add_parser(kind)
         sub.add_argument("--config", required=True, help="INI config file")
         sub.add_argument("--out", required=True, help="output directory")
-        sub.add_argument("--seed", type=int, default=None,
-                         help="override the config seed")
-        if kind == "remainder":
-            sub.add_argument("--threads", type=int, default=1,
-                             help="parallelism cap for the remainder sweep")
+        if kind in SEEDED_KINDS:
+            sub.add_argument("--seed", type=int, default=None,
+                             help="override the config seed")
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config, args.kind, seed_override=args.seed)
-        run(args.kind, config, Path(args.out),
-            threads=max(1, getattr(args, "threads", 1)))
+        config = load_config(args.config, args.kind,
+                             seed_override=getattr(args, "seed", None))
+        run(args.kind, config, Path(args.out))
     except ConfigError as exc:
         _fail("validation", exc)
         return 2

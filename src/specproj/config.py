@@ -129,7 +129,6 @@ class KernelConfig:
     beta: tuple[int, ...]
     probe_radius: float
     points_per_axis: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -142,7 +141,6 @@ class ScalingConfig:
     max_k: int
     probe_radius: float
     points_per_axis: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -154,7 +152,6 @@ class RemainderConfig:
     beta: tuple[int, ...]
     probe_radius: float
     points_per_axis: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -188,7 +185,7 @@ ExperimentConfig = Union[KernelConfig, ScalingConfig, RemainderConfig,
 _TABLES = {
     "kernel": (KernelConfig, (
         _Key("model", _MODEL), *_WINDOW, _Key("x0", _FLOATS), *_ORDERS,
-        _Key("probe_radius", _FLOAT, 0.5), _POINTS, _SEED)),
+        _Key("probe_radius", _FLOAT, 0.5), _POINTS)),
     "scaling": (ScalingConfig, (
         _Key("model", _MODEL), _Key("x0", _FLOATS),
         _Key("lambdas", _FLOATS, None, _increasing,
@@ -196,14 +193,13 @@ _TABLES = {
         _Key("delta", _FLOAT, 1.0, lambda d: d > 0, "be > 0"),
         _Key("max_j", _INT, 1, lambda j: 0 <= j <= 2, "lie in [0, 2]"),
         _Key("max_k", _INT, 1, lambda k: 0 <= k <= 2, "lie in [0, 2]"),
-        _Key("probe_radius", _FLOAT, 2.0), _POINTS._replace(default=9),
-        _SEED)),
+        _Key("probe_radius", _FLOAT, 2.0), _POINTS._replace(default=9))),
     "remainder": (RemainderConfig, (
         _Key("model", _MODEL), _Key("x0", _FLOATS),
         _Key("lambdas", _FLOATS, None,
              lambda lambdas: len(lambdas) >= 4 and _increasing(lambdas),
              "hold >= 4 positive increasing values (for an exponent fit)"),
-        *_ORDERS, _Key("probe_radius", _FLOAT, 0.1), _POINTS, _SEED)),
+        *_ORDERS, _Key("probe_radius", _FLOAT, 0.1), _POINTS)),
     "randomwave": (RandomwaveConfig, (
         _Key("model", _MODEL), *_WINDOW, _Key("x0", _FLOATS),
         _Key("samples", _INT, None, lambda n: n >= 2, "be >= 2"),
@@ -227,6 +223,9 @@ _PARTS = {"window": (SpectralWindow, ("window_lo", "window_hi")),
           "surface": (SurfaceSpec, ("surface", "c"))}
 
 EXPERIMENT_KINDS = tuple(_TABLES)
+# the kinds that draw random numbers, the only ones with a seed
+SEEDED_KINDS = tuple(kind for kind, (_, keys) in _TABLES.items()
+                     if any(key.name == "seed" for key in keys))
 
 
 def _section_items(path: Path, kind: str) -> dict[str, str]:

@@ -64,10 +64,9 @@ class SurfaceSpec:
             raise ValueError(f"unknown surface kind {self.kind!r}")
         if self.kind == "ellipsoid" and not (0.5 <= self.c <= 2.0):
             raise ValueError("ellipsoid axis ratio c must lie in [0.5, 2]")
-
-    @property
-    def axis_c(self) -> float:
-        return 1.0 if self.kind == "sphere" else self.c
+        if self.kind != "ellipsoid" and self.c != 1.0:
+            raise ValueError(f"c applies to the ellipsoid only; a {self.kind} "
+                             "takes c = 1.0")
 
     @property
     def embed_dim(self) -> int:
@@ -78,7 +77,7 @@ def _quadric(surface: SurfaceSpec) -> np.ndarray | None:
     """Diagonal of A in x^T A x = 1, or None for the flat torus."""
     if surface.kind == "torus":
         return None
-    return np.array([1.0, 1.0, 1.0 / surface.axis_c ** 2])
+    return np.array([1.0, 1.0, 1.0 / surface.c ** 2])
 
 
 def _accel(a: np.ndarray | None, x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -139,7 +138,7 @@ def _base_frame(surface: SurfaceSpec, x0: np.ndarray):
     e2 = (-sin phi, cos phi, 0)."""
     if surface.kind == "torus":
         return x0.copy(), np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    c = surface.axis_c
+    c = surface.c
     sa, ca = np.sin(x0[0]), np.cos(x0[0])
     sb, cb = np.sin(x0[1]), np.cos(x0[1])
     pos = np.array([sa * cb, sa * sb, c * ca])
@@ -271,7 +270,7 @@ def closed_form_geodesic(surface: SurfaceSpec, x0, angle: float,
     xi = math.cos(angle) * e1 + math.sin(angle) * e2
     if surface.kind == "torus":
         return x0[None, :] + times[:, None] * xi[None, :]
-    if surface.kind == "sphere" or surface.axis_c == 1.0:
+    if surface.c == 1.0:
         return (np.cos(times)[:, None] * base[None, :]
                 + np.sin(times)[:, None] * xi[None, :])
     raise ValueError("no closed form for a non-round ellipsoid")

@@ -40,18 +40,6 @@ from .kernels import (
 )
 from .special import legendre_weighted_sum
 
-__all__ = [
-    "ExponentFit",
-    "ProbeGrid",
-    "RemainderReport",
-    "remainder_batch",
-    "remainder_field",
-    "remainder_sweep",
-    "scaling_exponent_fit",
-    "cluster_lambda",
-]
-
-
 def cluster_lambda(ell: int, offset: float = 0.01) -> float:
     """Frequency just above the sphere cluster l (for sampling sweeps)."""
     return math.sqrt(ell * (ell + 1.0)) + offset
@@ -196,6 +184,13 @@ class ProbeGrid:
         grids = np.meshgrid(*([axis] * dim), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1)
 
+    def pairs(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every ordered pair (us[i], vs[i]) of offsets, u varying slowest."""
+        offsets = self.offsets(dim)
+        count = offsets.shape[0]
+        return (np.repeat(offsets, count, axis=0),
+                np.tile(offsets, (count, 1)))
+
 
 @dataclass(frozen=True)
 class RemainderReport:
@@ -223,8 +218,7 @@ class RemainderReport:
 
 
 def remainder_sweep(model: Model, x0, probe: ProbeGrid, lambdas,
-                    order: DerivOrder | None = None,
-                    threads: int = 1) -> RemainderReport:
+                    order: DerivOrder | None = None) -> RemainderReport:
     """Sup of |remainder_batch| over all ordered probe pairs, per lam, plus
     the fit."""
     if order is None:
@@ -235,21 +229,12 @@ def remainder_sweep(model: Model, x0, probe: ProbeGrid, lambdas,
     if any(l <= 0 for l in lambdas):
         raise ValueError("lambda samples must be > 0")
     # every ordered pair of probe points, checked once before any window
-    points = exp_map(model, x0, probe.offsets(model.dim))
-    xs = np.repeat(points, points.shape[0], axis=0)
-    ys = np.tile(points, (points.shape[0], 1))
+    us, vs = probe.pairs(model.dim)
+    xs, ys = exp_map(model, x0, us), exp_map(model, x0, vs)
     _check_pairs(model, xs, ys)
-
-    def one(lam: float) -> float:
-        return float(np.max(np.abs(remainder_batch(model, xs, ys, lam,
-                                                   order))))
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sups = tuple(pool.map(one, lambdas))
-    else:
-        sups = tuple(one(lam) for lam in lambdas)
+    sups = tuple(float(np.max(np.abs(remainder_batch(model, xs, ys, lam,
+                                                     order))))
+                 for lam in lambdas)
     fit = scaling_exponent_fit(list(zip(lambdas, sups)))
     x0 = np.asarray(x0, dtype=float)
     return RemainderReport(model_id=model.model_id, x0=tuple(x0.tolist()),

@@ -1,6 +1,7 @@
 """End-to-end runner tests: config parsing, exit statuses, report files,
 and the manifest round-trip guarantee."""
 
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -9,7 +10,12 @@ import numpy as np
 import pytest
 
 from specproj.cli import convergence_report, main
-from specproj.config import ConfigError, config_as_text, load_config
+from specproj.config import (
+    SEEDED_KINDS,
+    ConfigError,
+    config_as_text,
+    load_config,
+)
 from specproj.models import SphereModel, TorusModel
 
 
@@ -107,6 +113,11 @@ class TestConfigParsing:
         cfg = write_config(tmp_path, "s.cfg", RANDOMWAVE_CFG)
         assert load_config(cfg, "randomwave").seed == 6
         assert load_config(cfg, "randomwave", seed_override=99).seed == 99
+        # the deterministic kinds take no seed, from a file or an override
+        assert SEEDED_KINDS == ("randomwave", "loopset")
+        cfg = write_config(tmp_path, "k.cfg", KERNEL_CFG)
+        with pytest.raises(ConfigError, match=r"unknown keys: \['seed'\]"):
+            load_config(cfg, "kernel", seed_override=0)
 
     def test_model_parsing(self, tmp_path):
         cfg = write_config(tmp_path, "m.cfg", REMAINDER_CFG)
@@ -145,17 +156,22 @@ class TestExitStatuses:
                      "--out", str(tmp_path / "out")])
         assert code == 2
 
-    def test_threads_only_on_remainder(self, tmp_path, capsys):
-        # --threads is read by the remainder sweep only; argparse exits 2
-        # when another kind is given it
-        cfg = write_config(tmp_path, "l.cfg", LOOPSET_CFG)
+    @pytest.mark.parametrize("kind,cfg_text", [
+        ("kernel", KERNEL_CFG),
+        ("scaling", SCALING_CFG),
+        ("remainder", REMAINDER_CFG),
+    ])
+    def test_seed_flag_only_where_read(self, tmp_path, capsys, kind,
+                                       cfg_text):
+        # --seed exists for the kinds that draw random numbers only;
+        # argparse exits 2 when another kind is given it
+        cfg = write_config(tmp_path, "c.cfg", cfg_text)
         with pytest.raises(SystemExit) as exc:
-            main(["loopset", "--config", cfg, "--out", str(tmp_path / "out"),
-                  "--threads", "2"])
+            main([kind, "--config", cfg, "--out", str(tmp_path / "out"),
+                  "--seed", "0"])
         assert exc.value.code == 2
-        assert "--threads" in capsys.readouterr().err
+        assert "--seed" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
-
 
     def test_nan_state_is_1(self, tmp_path, capsys, monkeypatch):
         from specproj import loopset
@@ -185,14 +201,41 @@ class TestExitStatuses:
         ("randomwave", RANDOMWAVE_CFG, ["--seed", "-5"]),
         ("loopset", LOOPSET_CFG.replace("seed = 2", "seed = -1"), []),
         ("loopset", LOOPSET_CFG, ["--seed", "-5"]),
+        # a seed on a kind that draws no random numbers
+        ("kernel", KERNEL_CFG + "seed = 0\n", []),
+        ("scaling", SCALING_CFG + "seed = 0\n", []),
+        ("remainder", REMAINDER_CFG + "seed = 0\n", []),
+        # c off the ellipsoid
+        ("loopset", LOOPSET_CFG + "c = 3.0\n", []),
+        ("loopset", LOOPSET_CFG.replace("sphere", "torus") + "c = 2.0\n", []),
     ], ids=["kernel-x0-nan", "randomwave-x0-inf", "loopset-t_max-nan",
             "loopset-x0-nan", "kernel-order-5", "randomwave-seed",
-            "randomwave-seed-flag", "loopset-seed", "loopset-seed-flag"])
+            "randomwave-seed-flag", "loopset-seed", "loopset-seed-flag",
+            "kernel-seed", "scaling-seed", "remainder-seed", "sphere-c",
+            "torus-c"])
     def test_refused_before_any_output(self, tmp_path, capsys, kind,
                                        cfg_text, flags):
         cfg = write_config(tmp_path, "bad.cfg", cfg_text)
         out = tmp_path / "out"
         assert main([kind, "--config", cfg, "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error kind=validation msg=")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cfg_text", [
+        # the pair check needs 2 sqrt(2) r < pi/2, r < 0.5554
+        REMAINDER_CFG.replace("probe_radius = 0.1", "probe_radius = 0.6"),
+        # and 2 sqrt(3) r < pi/2, r < 0.4534, on torus3
+        REMAINDER_CFG.replace("torus2", "torus3")
+                     .replace("x0 = 0.0,0.0", "x0 = 0.0,0.0,0.0")
+                     .replace("probe_radius = 0.1", "probe_radius = 0.5"),
+    ], ids=["torus2", "torus3"])
+    def test_pair_refusal_leaves_no_output(self, tmp_path, capsys, cfg_text):
+        # the config passes; the sweep refuses the probe pairs before any
+        # report is written
+        cfg = write_config(tmp_path, "r.cfg", cfg_text)
+        out = tmp_path / "out"
+        assert main(["remainder", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(
             "error kind=validation msg=")
         assert not out.exists()
@@ -240,8 +283,7 @@ class TestReports:
     def test_remainder_outputs(self, tmp_path):
         cfg = write_config(tmp_path, "r.cfg", REMAINDER_CFG)
         out = tmp_path / "out"
-        assert main(["remainder", "--config", cfg, "--out", str(out),
-                     "--threads", "2"]) == 0
+        assert main(["remainder", "--config", cfg, "--out", str(out)]) == 0
         lines = (out / "remainder.csv").read_text().splitlines()
         assert lines[0] == "lambda,sup_remainder"
         assert len(lines) == 5
@@ -331,11 +373,11 @@ class TestConfigText:
         ("scaling", SCALING_CFG, None,
          "[scaling]\nmodel = torus2\nx0 = 0.0,0.0\nlambdas = 20.0,40.0\n"
          "delta = 1.0\nmax_j = 1\nmax_k = 0\nprobe_radius = 1.0\n"
-         "points_per_axis = 3\nseed = 0\n"),
+         "points_per_axis = 3\n"),
         ("remainder", REMAINDER_CFG, None,
          "[remainder]\nmodel = torus2\nx0 = 0.0,0.0\n"
          "lambdas = 10.0,20.0,40.0,80.0\nalpha = 0:0\nbeta = 0:0\n"
-         "probe_radius = 0.1\npoints_per_axis = 2\nseed = 0\n"),
+         "probe_radius = 0.1\npoints_per_axis = 2\n"),
         ("randomwave", RANDOMWAVE_CFG, None,
          "[randomwave]\nmodel = torus2\nwindow_lo = 2.0\nwindow_hi = 5.0\n"
          "x0 = 0.0,0.0\nsamples = 64\nprobe_radius = 0.4\n"
@@ -347,11 +389,11 @@ class TestConfigText:
         ("kernel", KERNEL_CFG, None,
          "[kernel]\nmodel = sphere2\nwindow_lo = 3.0\nwindow_hi = 7.0\n"
          "x0 = 0.0,0.0,1.0\nalpha = 0:0\nbeta = 0:0\nprobe_radius = 0.3\n"
-         "points_per_axis = 2\nseed = 0\n"),
+         "points_per_axis = 2\n"),
         ("kernel", TORUS3_KERNEL_CFG, None,
          "[kernel]\nmodel = torus3\nwindow_lo = 3.0\nwindow_hi = 7.0\n"
          "x0 = 0.0,0.0,0.0\nalpha = 1:0:1\nbeta = 0:0:0\nprobe_radius = 0.3\n"
-         "points_per_axis = 2\nseed = 0\n"),
+         "points_per_axis = 2\n"),
         ("loopset", ELLIPSOID_LOOPSET_CFG, None,
          "[loopset]\nsurface = ellipsoid\nc = 1.5\nx0 = 1.0,0.3\n"
          "n_directions = 8\nt_max = 6.5\ntol = 0.001\nt_min = 0.5\n"
@@ -391,3 +433,25 @@ class TestConvergenceReport:
                                   1.0, 1, 1, 1.0, 3)
         assert len(rows) == 2 * 3 * 3
         assert all(math.isfinite(r[3]) for r in rows)
+
+
+class TestExamples:
+    def test_every_example_config_runs(self, tmp_path, capsys):
+        # scripts/configs/*.cfg are the documented examples; each must
+        # still load and run after an option changes
+        root = Path(__file__).resolve().parent.parent
+        spec = importlib.util.spec_from_file_location(
+            "run_all", root / "scripts" / "run_all.py")
+        run_all = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run_all)
+        assert run_all.run_all(tmp_path) == 0
+        produced = {kind.name: sorted(p.name for p in kind.iterdir())
+                    for kind in tmp_path.iterdir()}
+        assert produced == {
+            "kernel": ["kernel_field.csv", "manifest.json"],
+            "loopset": ["loopset.csv", "manifest.json"],
+            "randomwave": ["manifest.json", "randomwave_summary.csv"],
+            "remainder": ["manifest.json", "remainder.csv",
+                          "remainder_summary.jsonl"],
+            "scaling": ["manifest.json", "scaling_report.csv"],
+        }

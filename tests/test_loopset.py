@@ -59,7 +59,7 @@ class TestSurfaceSpec:
             SurfaceSpec(kind="plane")
         with pytest.raises(ValueError):
             SurfaceSpec(kind="ellipsoid", c=0.3)
-        assert SurfaceSpec(kind="sphere").axis_c == 1.0
+        assert SurfaceSpec(kind="sphere").c == 1.0
         assert SurfaceSpec(kind="torus").embed_dim == 2
         assert SurfaceSpec(kind="ellipsoid", c=1.7).embed_dim == 3
 

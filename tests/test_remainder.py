@@ -288,6 +288,24 @@ class TestSweep:
         single = ProbeGrid(radius=0.2, points_per_axis=1)
         assert np.array_equal(single.offsets(2), np.zeros((1, 2)))
 
+    @pytest.mark.parametrize("model,x0", [
+        (TorusModel(n=2), np.array([0.3, 6.2])),
+        (SphereModel(), np.array([0.6, 0.0, 0.8])),
+    ])
+    def test_pairs_map_like_paired_points(self, model, x0):
+        # every ordered pair, u slowest; the sweep maps us and vs, which
+        # must give the bits of mapping the 9 offsets once and pairing them
+        grid = ProbeGrid(radius=0.2, points_per_axis=3)
+        offsets = grid.offsets(2)
+        us, vs = grid.pairs(2)
+        assert np.array_equal(us, [u for u in offsets for _ in offsets])
+        assert np.array_equal(vs, [v for _ in offsets for v in offsets])
+        points = exp_map(model, x0, offsets)
+        assert np.array_equal(bits(exp_map(model, x0, us)),
+                              bits(np.repeat(points, 9, axis=0)))
+        assert np.array_equal(bits(exp_map(model, x0, vs)),
+                              bits(np.tile(points, (9, 1))))
+
     def test_torus_sweep_report(self):
         model = TorusModel(n=2)
         report = remainder_sweep(model, np.zeros(2),
@@ -302,15 +320,6 @@ class TestSweep:
         record = report.summary_record()
         assert set(record) == {"model", "x0", "alpha", "beta", "alpha_hat",
                                "C_hat", "residual", "dropped_zeros"}
-
-    def test_threads_do_not_change_results(self):
-        model = TorusModel(n=2)
-        probe = ProbeGrid(radius=0.15, points_per_axis=2)
-        lams = (8.0, 16.0, 32.0, 64.0)
-        seq = remainder_sweep(model, np.zeros(2), probe, lams, threads=1)
-        par = remainder_sweep(model, np.zeros(2), probe, lams, threads=4)
-        assert seq.sups == par.sups
-        assert seq.fit == par.fit
 
     def test_sphere_sweep_just_above_clusters(self):
         model = SphereModel()
