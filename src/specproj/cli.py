@@ -45,7 +45,13 @@ from .loopset import loopset_fraction
 from .models import BudgetError, Model, SpectralWindow, TorusModel, exp_map
 from .randomwave import ensemble_summary_rows, sample_ensemble
 from .remainder import ProbeGrid, remainder_sweep
-from .reports import write_csv, write_jsonl, write_manifest
+from .reports import (
+    atomic_write_bytes,
+    atomic_write_text,
+    write_csv,
+    write_jsonl,
+    write_manifest,
+)
 from .special import sphere_quadrature
 
 
@@ -165,7 +171,7 @@ def _run_randomwave(config: RandomwaveConfig, out_dir: Path,
     outputs = ["randomwave_summary.csv"]
     if config.dump_samples:
         raw = np.ascontiguousarray(ensemble.values)
-        (out_dir / "samples.bin").write_bytes(raw.tobytes())
+        atomic_write_bytes(out_dir / "samples.bin", raw.tobytes())
         header = {
             "dtype": str(raw.dtype),
             "model": model.model_id,
@@ -173,8 +179,8 @@ def _run_randomwave(config: RandomwaveConfig, out_dir: Path,
             "shape": list(raw.shape),
             "window": [config.window.lo, config.window.hi],
         }
-        (out_dir / "samples.json").write_text(
-            json.dumps(header, indent=2, sort_keys=True) + "\n")
+        atomic_write_text(out_dir / "samples.json",
+                          json.dumps(header, indent=2, sort_keys=True) + "\n")
         outputs += ["samples.bin", "samples.json"]
     return outputs
 

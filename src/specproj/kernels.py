@@ -29,6 +29,7 @@ one-row calls of these.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -130,19 +131,18 @@ def _torus_deriv_sum(vectors: np.ndarray, diffs: np.ndarray,
     if count == 0:
         return out
     omega = sum(alpha) + sum(beta)
-    kf = vectors.astype(float)
     weights = None
     for sign, orders in ((1.0, alpha), (-1.0, beta)):
         for i, order in enumerate(orders):
             if order:
-                factor = (sign * kf[:, i]) ** order
+                factor = (sign * vectors[:, i]) ** order
                 weights = factor if weights is None else weights * factor
     trig = np.sin if omega % 2 else np.cos
     negate = omega % 4 in (1, 2)
     chunk = max(1, _CHUNK_BUDGET // max(count, 1))
     for start in range(0, pairs, chunk):
         block = diffs[start:start + chunk]
-        terms = block @ kf.T           # (B, count), contiguous along modes
+        terms = block @ vectors.T      # (B, count), contiguous along modes
         trig(terms, out=terms)
         if negate:
             np.negative(terms, out=terms)
@@ -183,27 +183,10 @@ def _tensor_stencil(alpha: tuple[int, ...], beta: tuple[int, ...]):
     Coefficients are for step h = 1; the caller divides by h^omega.
     """
     dim = len(alpha)
-    points = [((0,) * dim, (0,) * dim, 1.0)]
-    for which, orders in (("u", alpha), ("v", beta)):
-        for axis, order in enumerate(orders):
-            if order == 0:
-                continue
-            if order > 4:
-                raise ValueError("per-coordinate derivative order > 4")
-            new = []
-            for du, dv, c in points:
-                for step, w in _STENCILS[order]:
-                    if which == "u":
-                        shifted = tuple(
-                            e + (step if i == axis else 0) for i, e in enumerate(du)
-                        )
-                        new.append((shifted, dv, c * w))
-                    else:
-                        shifted = tuple(
-                            e + (step if i == axis else 0) for i, e in enumerate(dv)
-                        )
-                        new.append((du, shifted, c * w))
-            points = new
+    points = []
+    for taps in itertools.product(*(_STENCILS[o] for o in alpha + beta)):
+        steps = tuple(step for step, _ in taps)
+        points.append((steps[:dim], steps[dim:], math.prod(w for _, w in taps)))
     return tuple(points)
 
 
@@ -368,9 +351,6 @@ def limit_kernel_closed_form(n: int, r: float) -> float:
 # --------------------------------------------------------------------------
 # ball kernel (volume term of the cumulative kernel)
 # --------------------------------------------------------------------------
-
-_UNIT_BALL_VOLUME = {2: math.pi, 3: 4.0 * math.pi / 3.0}
-
 
 def ball_kernel(n: int, d: float, lam: float) -> float:
     """Closed form (2pi)^(-n/2) lam^(n/2) d^(-n/2) J_(n/2)(lam d).

@@ -112,7 +112,6 @@ class ClusterRecord(NamedTuple):
 
     ell: int
     multiplicity: int
-    frequency: float
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,7 @@ class ModeList:
     """Modes of a window: integer vectors on the torus, clusters on the sphere."""
 
     window: SpectralWindow
-    vectors: np.ndarray | None = None      # (count, n) int64, torus only
+    vectors: np.ndarray | None = None      # (count, n) float64, torus only
     clusters: tuple[ClusterRecord, ...] | None = None  # sphere only
 
     @property
@@ -148,13 +147,30 @@ def _check_window_budget(window: SpectralWindow) -> None:
         )
 
 
+def _ball_points(d: int, m_max: int):
+    """Integer points p of Z^d with |p|^2 <= m_max, lexicographic, lazily.
+
+    Yields (p, |p|^2) with p a tuple; d = 0 yields the empty point.
+    """
+    if d == 0:
+        yield (), 0
+        return
+    for prefix, sq in _ball_points(d - 1, m_max):
+        b = math.isqrt(m_max - sq)
+        for k in range(-b, b + 1):
+            yield prefix + (k,), sq + k * k
+
+
 @lru_cache(maxsize=128)
 def torus_modes(model: TorusModel, window: SpectralWindow) -> ModeList:
     """Enumerate integer vectors k with |k| in the window.
 
-    Scans the integer box row by row, keeping m_min <= |k|^2 <= m_max in
-    exact int64 arithmetic.  Enumeration order is lexicographic, so the
-    downstream summation order is reproducible.
+    Walks the prefixes (k_1..k_{n-1}) of the ball |k|^2 <= m_max in
+    lexicographic order; for each, the last coordinate is one arange kept
+    where m_min <= |k|^2, in exact integer arithmetic.  The vectors are
+    stored as read-only float64, exact because |k|^2 <= MAX_FREQUENCY^2,
+    and their lexicographic order makes the downstream summation order
+    reproducible.
     """
     if not isinstance(model, TorusModel):
         raise TypeError("torus_modes needs a TorusModel")
@@ -167,45 +183,32 @@ def torus_modes(model: TorusModel, window: SpectralWindow) -> ModeList:
         )
     m_min, m_max = squared_norm_range(window)
     n = model.n
-    empty = np.zeros((0, n), dtype=np.int64)
-    if m_max < max(m_min, 1):
-        return ModeList(window=window, vectors=empty)
-    half = math.isqrt(m_max)
-
-    rows = []
-    if n == 2:
-        for k1 in range(-half, half + 1):
-            rem = m_max - k1 * k1
-            if rem < 0:
-                continue
-            b = math.isqrt(rem)
-            k2 = np.arange(-b, b + 1, dtype=np.int64)
-            keep = k2[k1 * k1 + k2 * k2 >= m_min]
-            if keep.size:
-                block = np.empty((keep.size, 2), dtype=np.int64)
-                block[:, 0] = k1
-                block[:, 1] = keep
-                rows.append(block)
-    else:
-        for k1 in range(-half, half + 1):
-            rem1 = m_max - k1 * k1
-            if rem1 < 0:
-                continue
-            b1 = math.isqrt(rem1)
-            for k2 in range(-b1, b1 + 1):
-                rem2 = rem1 - k2 * k2
-                b2 = math.isqrt(rem2)
-                k3 = np.arange(-b2, b2 + 1, dtype=np.int64)
-                keep = k3[k1 * k1 + k2 * k2 + k3 * k3 >= m_min]
-                if keep.size:
-                    block = np.empty((keep.size, 3), dtype=np.int64)
-                    block[:, 0] = k1
-                    block[:, 1] = k2
-                    block[:, 2] = keep
-                    rows.append(block)
-    vectors = np.concatenate(rows, axis=0) if rows else empty
+    blocks = []
+    if m_min <= m_max:
+        for prefix, sq in _ball_points(n - 1, m_max):
+            b = math.isqrt(m_max - sq)
+            last = np.arange(-b, b + 1, dtype=np.int64)
+            last = last[sq + last * last >= m_min]
+            if last.size:
+                block = np.empty((last.size, n))
+                for i, k in enumerate(prefix):
+                    block[:, i] = k
+                block[:, -1] = last
+                blocks.append(block)
+    vectors = np.concatenate(blocks) if blocks else np.zeros((0, n))
     vectors.setflags(write=False)
     return ModeList(window=window, vectors=vectors)
+
+
+def lead_sign(rows) -> np.ndarray:
+    """+1.0 or -1.0 per row: the sign of the row's first nonzero entry.
+
+    A zero row gets +1; -0.0 counts as zero.  Folding rows r and -r onto
+    r * lead_sign(r) picks one representative of each pair.
+    """
+    rows = np.asarray(rows)
+    lead = rows[np.arange(rows.shape[0]), np.argmax(rows != 0, axis=1)]
+    return np.where(lead < 0, -1.0, 1.0)
 
 
 @lru_cache(maxsize=128)
@@ -220,17 +223,8 @@ def sphere_clusters(model: SphereModel, window: SpectralWindow) -> ModeList:
         for ell in range(0, math.isqrt(max(m_max, 0)) + 1):
             t = ell * (ell + 1)
             if m_min <= t <= m_max:
-                out.append(
-                    ClusterRecord(ell=ell, multiplicity=2 * ell + 1,
-                                  frequency=math.sqrt(t))
-                )
+                out.append(ClusterRecord(ell=ell, multiplicity=2 * ell + 1))
     return ModeList(window=window, clusters=tuple(out))
-
-
-def window_modes(model: Model, window: SpectralWindow) -> ModeList:
-    if isinstance(model, TorusModel):
-        return torus_modes(model, window)
-    return sphere_clusters(model, window)
 
 
 # --------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .models import (
     SphereModel,
     SpectralWindow,
     TorusModel,
+    lead_sign,
     sphere_clusters,
     torus_modes,
 )
@@ -47,15 +48,9 @@ def torus_half_lattice(model: TorusModel, window: SpectralWindow) -> np.ndarray:
     Ordered by (|k|^2, lexicographic), which fixes the coefficient layout.
     """
     vectors = torus_modes(model, window).vectors
-    if vectors.shape[0] == 0:
-        return vectors
-    keep = []
-    for k in vectors:
-        nz = k[k != 0]
-        if nz.size == 0 or nz[0] > 0:
-            keep.append(tuple(int(c) for c in k))
-    keep.sort(key=lambda k: (sum(c * c for c in k), k))
-    return np.array(keep, dtype=np.int64).reshape(len(keep), model.n)
+    half = vectors[lead_sign(vectors) > 0]
+    # lexsort's last key is its primary one; |k|^2 is exact in float64
+    return half[np.lexsort((*half.T[::-1], np.sum(half * half, axis=1)))]
 
 
 @dataclass(frozen=True)
@@ -78,7 +73,7 @@ def _torus_basis_matrix(model: TorusModel, reps: np.ndarray,
                         grid: np.ndarray) -> np.ndarray:
     # rows alternate cos/sin per half-lattice representative
     scale = math.sqrt(2.0) / TWO_PI ** (0.5 * model.n)
-    phases = reps.astype(float) @ grid.T          # (P, G)
+    phases = reps @ grid.T                        # (P, G)
     basis = np.empty((2 * reps.shape[0], grid.shape[0]))
     basis[0::2] = scale * np.cos(phases)
     basis[1::2] = scale * np.sin(phases)

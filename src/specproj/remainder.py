@@ -27,6 +27,7 @@ from .models import (
     TorusModel,
     distance,
     exp_map,
+    lead_sign,
     sphere_clusters,
     torus_separation,
 )
@@ -77,8 +78,7 @@ def remainder_batch(model: Model, xs: np.ndarray, ys: np.ndarray, lam: float,
         # fold d and -d onto the sign whose first nonzero coordinate is
         # positive (+ 0.0 clears -0.0) and evaluate each class once
         diffs = torus_separation(model, xs, ys)
-        lead = diffs[np.arange(diffs.shape[0]), np.argmax(diffs != 0, axis=1)]
-        flip = np.where(lead < 0, -1.0, 1.0)
+        flip = lead_sign(diffs)
         reps, inverse = np.unique(diffs * flip[:, None] + 0.0, axis=0,
                                   return_inverse=True)
         if window is None:

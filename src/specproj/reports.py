@@ -22,19 +22,21 @@ def _format_cell(value) -> str:
         return "1" if value else "0"
     if isinstance(value, float):
         return FLOAT_FORMAT % value
-    if isinstance(value, int):
-        return str(value)
     return str(value)
 
 
 def atomic_write_text(path: Path, text: str) -> None:
+    atomic_write_bytes(path, text.encode())
+
+
+def atomic_write_bytes(path: Path, data: bytes) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
                                suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -29,19 +29,6 @@ def _as_half_integer(order) -> Fraction:
     return nu
 
 
-def _series(nu: float, x: float) -> float:
-    # J_nu(x) = sum_m (-1)^m (x/2)^(2m+nu) / (m! Gamma(nu+m+1))
-    term = (0.5 * x) ** nu / math.gamma(nu + 1.0)
-    total = term
-    q = 0.25 * x * x
-    for m in range(1, 400):
-        term *= -q / (m * (nu + m))
-        total += term
-        if abs(term) < 1e-17 * (abs(total) + 1e-300) and m > 0.5 * x:
-            break
-    return total
-
-
 def _half_order_closed(nu: float, x: float) -> float:
     # upward recurrence from the elementary J_{-1/2}, J_{1/2}; stable here
     # because it is only used for x > 12 > nu
@@ -89,7 +76,7 @@ def bessel_j(order, x: float) -> float:
     if x == 0.0:
         return 1.0 if nu == 0 else 0.0
     if x <= _SERIES_SWITCH:
-        return _series(float(nu), x)
+        return x ** float(nu) * bessel_j_scaled(order, x)
     if nu.denominator == 2:
         return _half_order_closed(float(nu), x)
     # integer orders: two asymptotic seeds, then upward recurrence, which

@@ -306,6 +306,26 @@ class TestReports:
         assert raw.shape == (64, 4)
         assert header["seed"] == 6
 
+    def test_sample_dump_is_written_atomically(self, tmp_path, monkeypatch):
+        # the dump goes through reports' temp-file-and-replace writers, so
+        # Path's direct writers are never reached and no temp file is left
+        cfg = write_config(tmp_path, "rw.cfg",
+                           RANDOMWAVE_CFG + "dump_samples = true\n")
+        plain = tmp_path / "plain"
+        assert main(["randomwave", "--config", cfg, "--out", str(plain)]) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("non-atomic write")
+
+        monkeypatch.setattr(Path, "write_bytes", refuse)
+        monkeypatch.setattr(Path, "write_text", refuse)
+        out = tmp_path / "out"
+        assert main(["randomwave", "--config", cfg, "--out", str(out)]) == 0
+        for name in ("samples.bin", "samples.json",
+                     "randomwave_summary.csv"):
+            assert (out / name).read_bytes() == (plain / name).read_bytes()
+        assert not list(out.glob("*.tmp"))
+
     def test_kernel_output(self, tmp_path):
         cfg = write_config(tmp_path, "k.cfg", KERNEL_CFG)
         out = tmp_path / "out"

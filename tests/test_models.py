@@ -15,19 +15,18 @@ from hypothesis import strategies as st
 
 from specproj.models import (
     BudgetError,
-    ModeList,
     SphereModel,
     SpectralWindow,
     TorusModel,
     counting_function,
     distance,
     exp_map,
+    lead_sign,
     sphere_clusters,
     squared_norm_range,
     tangent_frame,
     torus_modes,
     torus_separation,
-    window_modes,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -41,6 +40,19 @@ def brute_force_count_torus(n: int, lam: float) -> int:
     sq = sum(g.astype(np.int64) ** 2 for g in grids)
     lam2 = math.floor(Fraction(lam) ** 2)
     return int(np.count_nonzero(sq <= lam2))
+
+
+def brute_force_modes_torus(n: int, window: SpectralWindow) -> np.ndarray:
+    """k in Z^n with |k| in (lo, hi], by a full box scan in meshgrid "ij"
+    (lexicographic) order."""
+    limit = int(math.floor(window.hi)) + 1
+    axis = np.arange(-limit, limit + 1, dtype=np.int64)
+    grids = np.meshgrid(*([axis] * n), indexing="ij")
+    box = np.stack([g.ravel() for g in grids], axis=1)
+    sq = np.sum(box * box, axis=1)
+    keep = ((sq > math.floor(Fraction(window.lo) ** 2))
+            & (sq <= math.floor(Fraction(window.hi) ** 2)))
+    return box[keep]
 
 
 def brute_force_count_sphere(lam: float) -> int:
@@ -141,16 +153,36 @@ class TestWindows:
                                                     for v in high.vectors}
         assert merged == {tuple(v) for v in full.vectors}
 
+    @pytest.mark.parametrize("n,top", [(2, 30.0), (3, 10.0)])
+    def test_vectors_equal_box_scan(self, n, top):
+        # values and order; a third of the edges sit at sqrt(integer) and
+        # a few at integers, where float windows meet eigenfrequencies
+        rng = np.random.default_rng(1000 + n)
+        model = TorusModel(n=n)
+
+        def edge():
+            pick = rng.random()
+            if pick < 1 / 3:
+                return math.sqrt(int(rng.integers(0, int(top * top))))
+            if pick < 0.45:
+                return float(rng.integers(0, int(top)))
+            return float(rng.uniform(0.0, top))
+
+        for _ in range(60):
+            lo, hi = sorted((edge(), edge()))
+            if hi <= lo:
+                continue
+            window = SpectralWindow(lo, hi)
+            vectors = torus_modes(model, window).vectors
+            assert vectors.dtype == np.float64
+            assert not vectors.flags.writeable
+            assert np.array_equal(vectors, brute_force_modes_torus(n, window))
+
     def test_mode_vectors_immutable(self):
         model = TorusModel(n=2)
         vectors = torus_modes(model, SpectralWindow(0.0, 3.0)).vectors
         with pytest.raises(ValueError):
             vectors[0, 0] = 99
-
-    def test_window_modes_dispatch(self):
-        w = SpectralWindow(0.0, 2.0)
-        assert isinstance(window_modes(TorusModel(n=2), w), ModeList)
-        assert window_modes(SphereModel(), w).clusters is not None
 
     def test_budget_errors(self):
         with pytest.raises(BudgetError):
@@ -284,3 +316,23 @@ class TestGeometry:
         assert t2.injectivity_radius == s2.injectivity_radius == math.pi
         with pytest.raises(ValueError):
             TorusModel(n=4)
+
+
+class TestLeadSign:
+    def test_sign_of_first_nonzero_entry(self):
+        rows = np.array([[0.0, 0.0, 0.0],      # zero row
+                         [-0.0, 0.0, -0.0],    # -0.0 counts as zero
+                         [0.0, -2.0, 5.0],     # leading zeros
+                         [-0.0, 3.0, -1.0],
+                         [-0.0, -0.0, -4.0],
+                         [-1.0, 0.0, 7.0]])
+        signs = lead_sign(rows)
+        assert signs.dtype == np.float64
+        assert signs.tolist() == [1.0, 1.0, -1.0, 1.0, -1.0, -1.0]
+        # r and -r fold onto one representative
+        folded = rows * signs[:, None]
+        assert np.array_equal(folded, -rows * lead_sign(-rows)[:, None])
+
+    def test_integer_rows(self):
+        rows = np.array([[0, -1], [2, -3], [0, 0], [0, 4]], dtype=np.int64)
+        assert lead_sign(rows).tolist() == [-1.0, 1.0, 1.0, 1.0]
