@@ -45,7 +45,6 @@ from .models import (
     exp_map,
     sphere_clusters,
     torus_modes,
-    torus_separation,
 )
 from .special import (
     SphereQuadrature,

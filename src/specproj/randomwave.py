@@ -25,7 +25,6 @@ import numpy as np
 
 from .models import (
     Model,
-    SphereModel,
     SpectralWindow,
     TorusModel,
     lead_sign,
