@@ -21,7 +21,10 @@ perfbench checks after the timed loop), the attempted and failed counts
 and one sha256 over batch 0's output digests, so two trees' batch-0
 outputs are byte-identical exactly when those hashes match.  Beside the
 runs sit the environment of the first run and, per tree and workload,
-the quartiles [q1, median, q3] of every metric over all its runs.
+the quartiles [q1, median, q3] of every metric over all its runs.  Given
+exactly two trees it also records, per workload and gated metric, how many
+(seed, repeat) pairs the second tree won (ties count for neither) and
+whether the two medians differ by more than the first tree's IQR.
 Standard library only.
 """
 
@@ -105,6 +108,30 @@ def quartiles(runs: list[dict]) -> dict:
             for key, group in groups.items()}
 
 
+def pair_wins(runs: list[dict], quarts: dict, first: str,
+              second: str) -> dict:
+    """Per workload and gated metric: the pairs the second tree won and
+    whether the two medians differ by more than the first tree's IQR."""
+    better = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
+    by_key = {(r["tree"], r["workload"], r["seed"], r["repeat"]): r["metrics"]
+              for r in runs}
+    out = {}
+    for workload in WORKLOADS:
+        keys = sorted((s, k) for t, w, s, k in by_key
+                      if t == first and w == workload)
+        out[workload] = {}
+        for name in GATED:
+            sign = 1.0 if better[name] == "lower" else -1.0
+            wins = sum(sign * (by_key[(first, workload, *key)][name]
+                               - by_key[(second, workload, *key)][name]) > 0
+                       for key in keys)
+            q1, med1, q3 = quarts[f"{first}/{workload}"][name]
+            med2 = quarts[f"{second}/{workload}"][name][1]
+            out[workload][name] = {"pairs": len(keys), "wins": wins,
+                                   "beyond_iqr": abs(med2 - med1) > q3 - q1}
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("label")
@@ -121,6 +148,7 @@ def main(argv=None) -> int:
                 for name, path in order:
                     run = run_once(Path(path).resolve(), workload, seed)
                     run["tree"] = name
+                    run["repeat"] = repeat
                     runs.append(run)
                     shown = "  ".join(f"{k}={v:.4g}"
                                       for k, v in run["metrics"].items())
@@ -135,6 +163,15 @@ def main(argv=None) -> int:
                          f"--seconds {SECONDS:g} --trace 0",
               "environment": environment, "quartiles": quartiles(runs),
               "runs": runs}
+    if len(trees) == 2:
+        first, second = (name for name, _ in trees)
+        result["pair_wins"] = pair_wins(runs, result["quartiles"], first,
+                                        second)
+        for workload, metrics in result["pair_wins"].items():
+            shown = "  ".join(f"{k}={v['wins']}/{v['pairs']}"
+                              + ("*" if v["beyond_iqr"] else "")
+                              for k, v in metrics.items())
+            print(f"{second} wins {workload:22s} {shown}")
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}")

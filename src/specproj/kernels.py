@@ -20,7 +20,8 @@ independent adaptive-quadrature route; both are kept on purpose.
 
 Derivatives: one mechanism and one batched evaluator per model.  Torus
 kernels are differentiated term by term (exact trig factors) in
-torus_pair_deriv_batch.  Sphere kernels go through sphere_fd_batch:
+torus_pair_deriv_batch, and torus_cumulative_batch runs the same sums over
+the nested windows of a cumulative sweep.  Sphere kernels go through sphere_fd_batch:
 central finite differences with one Richardson extrapolation level in
 normal coordinates, applied to any profile of t = <x, y>, with every
 stencil point of every row in one sweep.  The scalar entry points are
@@ -90,16 +91,11 @@ class DerivOrder:
 
 def multi_indices(dim: int, max_order: int) -> list[tuple[int, ...]]:
     """All multi-indices of total order <= max_order, by (order, lex)."""
-    out = []
-    for total in range(max_order + 1):
-        def build(prefix, remaining, dims_left):
-            if dims_left == 1:
-                out.append(prefix + (remaining,))
-                return
-            for head in range(remaining, -1, -1):
-                build(prefix + (head,), remaining - head, dims_left - 1)
-        build((), total, dim)
-    return out
+    # descending ranges give the descending lexicographic order, and the
+    # stable sort by total order keeps it within each order
+    return sorted((index for index in itertools.product(
+        range(max_order, -1, -1), repeat=dim) if sum(index) <= max_order),
+        key=sum)
 
 
 # --------------------------------------------------------------------------
@@ -351,20 +347,19 @@ def limit_kernel_closed_form(n: int, r: float) -> float:
 # ball kernel (volume term of the cumulative kernel)
 # --------------------------------------------------------------------------
 
-def ball_kernel(n: int, d: float, lam: float) -> float:
+def ball_kernel(n: int, d, lam: float):
     """Closed form (2pi)^(-n/2) lam^(n/2) d^(-n/2) J_(n/2)(lam d).
 
     Evaluated through the scaled profile J_nu(z)/z^nu, which removes the
     d -> 0 singularity: the diagonal value is lam^n vol(B^n) / (2pi)^n.
+    d is a float or an array of distances.
     """
     if n not in (2, 3):
         raise ValueError(f"unsupported dimension n={n}")
-    if d < 0:
+    if np.any(np.asarray(d) < 0):
         raise ValueError("d must be >= 0")
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    if lam == 0.0:
-        return 0.0
     return (lam * lam / TWO_PI) ** (0.5 * n) * bessel_j_scaled(0.5 * n, lam * d)
 
 
@@ -421,36 +416,69 @@ def _radial_terms(gamma: tuple[int, ...]):
     return tuple((exps, m, coeff) for (exps, m), coeff in sorted(terms.items()))
 
 
-def ball_kernel_deriv(n: int, w, lam: float, gamma: tuple[int, ...]) -> float:
+def ball_kernel_deriv(n: int, w, lam: float, gamma: tuple[int, ...]):
     """Exact partial derivative d^gamma_w of ball_kernel(n, |w|, lam).
 
     Uses the radial ladder J_nu(lam r)/r^nu whose derivative in r^2 lowers
     to the next order, so every term stays finite on the diagonal w = 0.
+    w is one point (n,), giving a float, or rows (rows, n), giving an
+    array.  The monomials w^e are taken with np.float_power (the C
+    library's pow, as for a float), so they negate exactly with w.
     """
     w = np.asarray(w, dtype=float)
-    if w.shape != (len(gamma),) or len(gamma) != n:
+    if w.ndim not in (1, 2) or w.shape[-1] != n or len(gamma) != n:
         raise ValueError("w and gamma must have length n")
     if sum(gamma) > MAX_DERIV_ORDER:
         raise ValueError(f"total order exceeds {MAX_DERIV_ORDER}")
-    if lam == 0.0:
-        return 0.0
-    r = float(np.linalg.norm(w))
-    total = 0.0
+    rows = np.atleast_2d(w)
+    # stacked products round as np.linalg.norm does on one row
+    r = np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+    total = np.zeros(rows.shape[0])
     for exps, m, coeff in _radial_terms(tuple(gamma)):
         mono = 1.0
-        for wi, e in zip(w, exps):
+        for column, e in zip(rows.T, exps):
             if e:
-                mono *= wi ** e
-        if mono == 0.0:
-            continue
+                mono = mono * np.float_power(column, e)
         profile = lam ** (n + 2 * m) * bessel_j_scaled(0.5 * n + m, lam * r)
         total += coeff * (-1.0) ** m * mono * profile
-    return TWO_PI ** (-0.5 * n) * total
+    total *= TWO_PI ** (-0.5 * n)
+    return total if w.ndim == 2 else float(total[0])
 
 
 # --------------------------------------------------------------------------
 # batched probe-grid evaluation (used by the scaling and remainder sweeps)
 # --------------------------------------------------------------------------
+
+def torus_cumulative_batch(model: TorusModel, lambdas, diffs: np.ndarray,
+                           order: DerivOrder) -> np.ndarray:
+    """Cumulative-kernel derivatives E_(0,lam] for each lam, in one pass.
+
+    lambdas must not decrease.  The windows (lam_{j-1}, lam_j], the first
+    being (0, lam_1], are disjoint runs of shells, so each is enumerated
+    and summed once, and the raw mode sums are carried across them with
+    Neumaier compensation; the volume divides once per lam.  Returns shape
+    (len(lambdas), rows).  With one lam the carry is 0 + part, so the
+    values are torus_pair_deriv_batch's on (0, lam].
+    """
+    out = np.empty((len(lambdas), diffs.shape[0]))
+    total = np.zeros(diffs.shape[0])
+    comp = np.zeros(diffs.shape[0])
+    lo = 0.0
+    for j, lam in enumerate(lambdas):
+        if lam < lo:
+            raise ValueError("lambdas must not decrease")
+        if lam > lo:
+            part = _torus_deriv_sum(
+                torus_modes(model, SpectralWindow(lo, lam)).vectors, diffs,
+                order.alpha, order.beta)
+            carried = total + part
+            comp += np.where(np.abs(total) >= np.abs(part),
+                             (total - carried) + part,
+                             (part - carried) + total)
+            total, lo = carried, lam
+        out[j] = (total + comp) / model.volume
+    return out
+
 
 def torus_pair_deriv_batch(model: TorusModel, window: SpectralWindow,
                            diffs: np.ndarray, order: DerivOrder) -> np.ndarray:

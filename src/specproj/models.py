@@ -147,29 +147,58 @@ def _check_window_budget(window: SpectralWindow) -> None:
         )
 
 
-def _ball_points(d: int, m_max: int):
-    """Integer points p of Z^d with |p|^2 <= m_max, lexicographic, lazily.
+def _isqrt(x: np.ndarray) -> np.ndarray:
+    """Exact floor(sqrt(x)) of int64 x >= 0 below 2**52: there the float
+    square root is off by at most one, and one step each way corrects it."""
+    s = np.sqrt(x.astype(float)).astype(np.int64)
+    s -= s * s > x
+    s += (s + 1) * (s + 1) <= x
+    return s
 
-    Yields (p, |p|^2) with p a tuple; d = 0 yields the empty point.
+
+def _ball_prefixes(d: int, m_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Points p of Z^d with |p|^2 <= m_max, lexicographic, and their |p|^2.
+
+    Built one coordinate at a time as int64 arrays: each point of the
+    previous level is followed by its run -b..b, b = isqrt(m_max - |p|^2).
     """
-    if d == 0:
-        yield (), 0
-        return
-    for prefix, sq in _ball_points(d - 1, m_max):
-        b = math.isqrt(m_max - sq)
-        for k in range(-b, b + 1):
-            yield prefix + (k,), sq + k * k
+    points = np.zeros((1, 0), dtype=np.int64)
+    sq = np.zeros(1, dtype=np.int64)
+    for _ in range(d):
+        b = _isqrt(m_max - sq)
+        counts = 2 * b + 1
+        parent = np.repeat(np.arange(sq.size), counts)
+        k = np.arange(parent.size) - (np.cumsum(counts) - counts + b)[parent]
+        points = np.column_stack([points[parent], k])
+        sq = sq[parent] + k * k
+    return points, sq
+
+
+def _fill_runs(column: np.ndarray, at: np.ndarray, first: np.ndarray,
+               step: float) -> None:
+    """Write runs into a float64 column in place, with no whole-column
+    temporary: run j starts at row at[j] with value first[j] and moves by
+    `step` per row.  The jumps go in at the run starts and one cumulative
+    sum carries them, exact because every value is an integer < 2**53."""
+    column.fill(step)
+    jumps = np.diff(first.astype(float), prepend=0.0)
+    jumps[1:] -= step * (np.diff(at) - 1)
+    column[at] = jumps
+    np.cumsum(column, out=column)
 
 
 @lru_cache(maxsize=128)
 def torus_modes(model: TorusModel, window: SpectralWindow) -> ModeList:
     """Enumerate integer vectors k with |k| in the window.
 
-    Walks the prefixes (k_1..k_{n-1}) of the ball |k|^2 <= m_max in
-    lexicographic order; for each, the last coordinate is one arange kept
-    where m_min <= |k|^2, in exact integer arithmetic.  The vectors are
-    stored as read-only float64, exact because |k|^2 <= MAX_FREQUENCY^2,
-    and their lexicographic order makes the downstream summation order
+    Walks the prefixes p = (k_1..k_{n-1}) of the ball |k|^2 <= m_max in
+    lexicographic order; for each, the last coordinate takes the runs
+    [-b, -a] and [a, b] with b = isqrt(m_max - |p|^2) and
+    a = ceil(sqrt(m_min - |p|^2)), or the one run [-b, b] when a = 0, in
+    exact integer arithmetic, so an annulus costs its own modes and not
+    its ball's.  The vectors are written column by column into one
+    read-only float64 array, exact because |k|^2 <= MAX_FREQUENCY^2, and
+    their lexicographic order makes the downstream summation order
     reproducible.
     """
     if not isinstance(model, TorusModel):
@@ -183,19 +212,27 @@ def torus_modes(model: TorusModel, window: SpectralWindow) -> ModeList:
         )
     m_min, m_max = squared_norm_range(window)
     n = model.n
-    blocks = []
+    vectors = np.zeros((0, n))
     if m_min <= m_max:
-        for prefix, sq in _ball_points(n - 1, m_max):
-            b = math.isqrt(m_max - sq)
-            last = np.arange(-b, b + 1, dtype=np.int64)
-            last = last[sq + last * last >= m_min]
-            if last.size:
-                block = np.empty((last.size, n))
-                for i, k in enumerate(prefix):
-                    block[:, i] = k
-                block[:, -1] = last
-                blocks.append(block)
-    vectors = np.concatenate(blocks) if blocks else np.zeros((0, n))
+        prefixes, sq = _ball_prefixes(n - 1, m_max)
+        b = _isqrt(m_max - sq)
+        rest = m_min - sq
+        a = np.where(rest > 0, _isqrt(np.maximum(rest - 1, 0)) + 1, 0)
+        length = np.where(a > 0, b - a + 1, 2 * b + 1)
+        # the runs in order: [-b, -a] then [a, b] where a > 0, else [-b, b];
+        # a prefix whose line misses the annulus (a > b) has none
+        owner = np.repeat(np.arange(sq.size),
+                          np.where(length > 0, 1 + (a > 0), 0))
+        second = np.zeros(owner.size, dtype=bool)
+        second[1:] = owner[1:] == owner[:-1]
+        first = np.where(second, a[owner], -b[owner])
+        length = length[owner]
+        at = np.cumsum(length) - length
+        vectors = np.empty((int(np.sum(length)), n))
+        if at.size:
+            for i in range(n - 1):
+                _fill_runs(vectors[:, i], at, prefixes[owner, i], 0.0)
+            _fill_runs(vectors[:, -1], at, first, 1.0)
     vectors.setflags(write=False)
     return ModeList(window=window, vectors=vectors)
 

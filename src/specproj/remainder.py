@@ -9,7 +9,9 @@ the growth exponent alpha_hat in sup|R| ~ C * lam^alpha_hat by least
 squares in log-log coordinates.  remainder_batch evaluates R for rows of
 point pairs with the kernels module's derivative mechanism for each model
 (term by term on the torus, sphere_fd_batch on the sphere); the single
-field and the sweeps are calls of it.  On the torus the diagonal remainder
+field is a call of it, and a sweep evaluates the same bracket for all its
+lam at once, so that a torus sweep enumerates each mode of its largest
+window once.  On the torus the diagonal remainder
 is the classical lattice-count error divided by the volume, so exact
 integer counting doubles as an oracle for everything here.
 """
@@ -37,7 +39,7 @@ from .kernels import (
     ball_kernel_deriv,
     sphere_coeffs,
     sphere_fd_batch,
-    torus_pair_deriv_batch,
+    torus_cumulative_batch,
 )
 from .special import legendre_weighted_sum
 
@@ -52,6 +54,41 @@ def _check_pairs(model: Model, xs, ys) -> None:
         raise ValueError("x and y must be within half the injectivity radius")
 
 
+def _bracket(model: Model, xs: np.ndarray, ys: np.ndarray, lambdas,
+             order: DerivOrder) -> np.ndarray:
+    """remainder_batch for each lam of an increasing sequence, shape
+    (len(lambdas), rows); the torus enumerates every mode of (0, lam_max]
+    once."""
+    n = model.n
+    const = 1.0 / model.volume if order.omega == 0 else 0.0
+    if isinstance(model, TorusModel):
+        # fold d and -d onto the sign whose first nonzero coordinate is
+        # positive (+ 0.0 clears -0.0) and evaluate each class once
+        diffs = torus_separation(model, xs, ys)
+        flip = lead_sign(diffs)
+        reps, inverse = np.unique(diffs * flip[:, None] + 0.0, axis=0,
+                                  return_inverse=True)
+        mode_part = torus_cumulative_batch(model, lambdas, reps, order)
+        gamma = tuple(a + b for a, b in zip(order.alpha, order.beta))
+        sign = (-1.0) ** sum(order.beta)
+        mains = np.array([sign * ball_kernel_deriv(n, reps, lam, gamma)
+                          for lam in lambdas])
+        values = (mode_part + const - mains)[:, inverse.reshape(-1)]
+        # odd omega: const is 0 and the unfolded bracket is never -0.0
+        return values * flip + 0.0 if order.omega % 2 else values
+
+    def bracket(lam):
+        coeffs = (sphere_coeffs(sphere_clusters(model,
+                                                SpectralWindow(0.0, lam)))
+                  if lam > 0 else np.zeros(0))
+        return lambda t: (legendre_weighted_sum(coeffs, t) + const
+                          - ball_kernel(n, np.arccos(t), lam))
+
+    zero = np.zeros(model.dim)
+    return np.array([sphere_fd_batch(model, xs, ys, bracket(lam), zero, zero,
+                                     order) for lam in lambdas])
+
+
 def remainder_batch(model: Model, xs: np.ndarray, ys: np.ndarray, lam: float,
                     order: DerivOrder) -> np.ndarray:
     """Derivatives of [E_(0,lam] + 1/vol - ball_kernel(n, d, lam)] per row.
@@ -60,7 +97,8 @@ def remainder_batch(model: Model, xs: np.ndarray, ys: np.ndarray, lam: float,
     full cumulative kernel E_[0,lam]; it only contributes at derivative
     order zero.  Derivatives are taken in normal coordinates centered at
     xs[i] and ys[i]: term by term on the torus, by sphere_fd_batch with the
-    whole bracket as its profile on the sphere.
+    whole bracket as its profile on the sphere.  This is the one-lam call
+    of the bracket that remainder_sweep evaluates for all its lam at once.
 
     On the torus the bracket depends only on the separation d = x - y and
     R(-d) = (-1)^omega R(d), so the rows are folded into classes {d, -d},
@@ -71,38 +109,7 @@ def remainder_batch(model: Model, xs: np.ndarray, ys: np.ndarray, lam: float,
     bit for bit (see kernels._torus_deriv_sum), and so is
     ball_kernel_deriv, whose monomials w^e negate exactly.
     """
-    n = model.n
-    window = SpectralWindow(0.0, lam) if lam > 0 else None
-    const = 1.0 / model.volume if order.omega == 0 else 0.0
-    if isinstance(model, TorusModel):
-        # fold d and -d onto the sign whose first nonzero coordinate is
-        # positive (+ 0.0 clears -0.0) and evaluate each class once
-        diffs = torus_separation(model, xs, ys)
-        flip = lead_sign(diffs)
-        reps, inverse = np.unique(diffs * flip[:, None] + 0.0, axis=0,
-                                  return_inverse=True)
-        if window is None:
-            mode_part = np.zeros(reps.shape[0])
-        else:
-            mode_part = torus_pair_deriv_batch(model, window, reps, order)
-        gamma = tuple(a + b for a, b in zip(order.alpha, order.beta))
-        sign = (-1.0) ** sum(order.beta)
-        mains = np.array([sign * ball_kernel_deriv(n, w, lam, gamma)
-                          for w in reps])
-        values = (mode_part + const - mains)[inverse.reshape(-1)]
-        # odd omega: const is 0 and the unfolded bracket is never -0.0
-        return values * flip + 0.0 if order.omega % 2 else values
-
-    coeffs = (sphere_coeffs(sphere_clusters(model, window))
-              if window else np.zeros(0))
-
-    def bracket(t):
-        mains = [ball_kernel(n, d, lam) for d in np.arccos(t).ravel()]
-        return (legendre_weighted_sum(coeffs, t) + const
-                - np.reshape(mains, t.shape))
-
-    zero = np.zeros(model.dim)
-    return sphere_fd_batch(model, xs, ys, bracket, zero, zero, order)
+    return _bracket(model, xs, ys, (lam,), order)[0]
 
 
 def remainder_field(model: Model, x, y, lam: float,
@@ -220,7 +227,9 @@ class RemainderReport:
 def remainder_sweep(model: Model, x0, probe: ProbeGrid, lambdas,
                     order: DerivOrder | None = None) -> RemainderReport:
     """Sup of |remainder_batch| over all ordered probe pairs, per lam, plus
-    the fit."""
+    the fit.  All lam go through one call of the bracket, so a torus sweep
+    enumerates each mode of (0, max lam] once; lam must increase strictly,
+    which is checked before any window."""
     if order is None:
         order = DerivOrder.zero(model.dim)
     lambdas = tuple(float(l) for l in lambdas)
@@ -228,13 +237,14 @@ def remainder_sweep(model: Model, x0, probe: ProbeGrid, lambdas,
         raise ValueError("need at least 4 lambda samples for the exponent fit")
     if any(l <= 0 for l in lambdas):
         raise ValueError("lambda samples must be > 0")
+    if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
+        raise ValueError("lambda samples must be strictly increasing")
     # every ordered pair of probe points, checked once before any window
     us, vs = probe.pairs(model.dim)
     xs, ys = exp_map(model, x0, us), exp_map(model, x0, vs)
     _check_pairs(model, xs, ys)
-    sups = tuple(float(np.max(np.abs(remainder_batch(model, xs, ys, lam,
-                                                     order))))
-                 for lam in lambdas)
+    values = _bracket(model, xs, ys, lambdas, order)
+    sups = tuple(float(s) for s in np.max(np.abs(values), axis=1))
     fit = scaling_exponent_fit(list(zip(lambdas, sups)))
     x0 = np.asarray(x0, dtype=float)
     return RemainderReport(model_id=model.model_id, x0=tuple(x0.tolist()),

@@ -5,7 +5,8 @@ derivatives, and product quadrature rules on the unit circle and sphere.
 Everything here is scalar-exact and deliberately simple: ascending series
 below the switch point x = 12, large-argument expansions above it, and
 three-term recurrences for Legendre.  Accuracy target is 1e-10 relative
-away from zeros of the functions, for x up to 1e4.
+away from zeros of the functions, for x up to 1e4.  bessel_j_scaled also
+takes an array, with the float path's values element by element.
 """
 
 from __future__ import annotations
@@ -29,17 +30,20 @@ def _as_half_integer(order) -> Fraction:
     return nu
 
 
-def _half_order_closed(nu: float, x: float) -> float:
-    # upward recurrence from the elementary J_{-1/2}, J_{1/2}; stable here
-    # because it is only used for x > 12 > nu
-    amp = math.sqrt(2.0 / (math.pi * x))
-    j_prev = amp * math.cos(x)   # order -1/2
-    j = amp * math.sin(x)        # order +1/2
-    order = 0.5
+def _recur_up(j_prev, j, order: float, nu: float, x):
+    # upward recurrence J_{o+1} = (2o/x) J_o - J_{o-1} from order o up to
+    # nu, on floats and arrays alike; forward-stable because x > 12 > nu
     while order < nu - 1e-12:
         j, j_prev = (2.0 * order / x) * j - j_prev, j
         order += 1.0
     return j
+
+
+def _half_order_closed(nu: float, x, xp=math):
+    # upward recurrence from the elementary J_{-1/2}, J_{1/2}; xp is math
+    # for a float x and numpy for an array
+    amp = xp.sqrt(2.0 / (xp.pi * x))
+    return _recur_up(amp * xp.cos(x), amp * xp.sin(x), 0.5, nu, x)
 
 
 def _hankel_asymptotic(p: int, x: float) -> float:
@@ -79,26 +83,85 @@ def bessel_j(order, x: float) -> float:
         return x ** float(nu) * bessel_j_scaled(order, x)
     if nu.denominator == 2:
         return _half_order_closed(float(nu), x)
-    # integer orders: two asymptotic seeds, then upward recurrence, which
-    # is forward-stable since x > 12 > nu
+    # integer orders: two asymptotic seeds, then upward recurrence
     j_prev = _hankel_asymptotic(0, x)
     if nu == 0:
         return j_prev
-    j = _hankel_asymptotic(1, x)
-    order = 1
-    while order < nu:
-        j, j_prev = (2.0 * order / x) * j - j_prev, j
-        order += 1
-    return j
+    return _recur_up(j_prev, _hankel_asymptotic(1, x), 1.0, float(nu), x)
 
 
-def bessel_j_scaled(order, z: float) -> float:
+def _hankel_asymptotic_array(p: int, x: np.ndarray) -> np.ndarray:
+    # _hankel_asymptotic on an array: each element takes the terms that
+    # the float path takes for it and stops where that path breaks
+    mu = 4.0 * p * p
+    chi = x - (0.5 * p + 0.25) * math.pi
+    term = np.ones(x.shape)
+    p_sum = np.ones(x.shape)
+    q_sum = np.zeros(x.shape)
+    prev = np.ones(x.shape)
+    live = np.ones(x.shape, dtype=bool)
+    for k in range(1, 40):
+        term = term * ((mu - (2 * k - 1) ** 2) / (8.0 * k * x))
+        live &= (np.abs(term) <= prev) & (np.abs(term) >= 1e-18)
+        if not live.any():
+            break
+        prev = np.abs(term)
+        step = term if k % 4 in (0, 1) else -term
+        if k % 2 == 1:
+            q_sum = np.where(live, q_sum + step, q_sum)
+        else:
+            p_sum = np.where(live, p_sum + step, p_sum)
+    return np.sqrt(2.0 / (np.pi * x)) * (p_sum * np.cos(chi)
+                                         - q_sum * np.sin(chi))
+
+
+def _series_array(nu: float, z: np.ndarray) -> np.ndarray:
+    # the ascending series of bessel_j_scaled on an array, each element
+    # stopping at the term where the float path stops
+    term = np.full(z.shape, 1.0 / (2.0 ** nu * math.gamma(nu + 1.0)))
+    total = term.copy()
+    q = 0.25 * z * z
+    live = np.ones(z.shape, dtype=bool)
+    for m in range(1, 400):
+        if not live.any():
+            break
+        term *= -q / (m * (nu + m))
+        total = np.where(live, total + term, total)
+        live &= ~((np.abs(term) < 1e-17 * (np.abs(total) + 1e-300))
+                  & (m > 0.5 * z))
+    return total
+
+
+def bessel_j_scaled(order, z):
     """The entire function J_nu(z) / z^nu, finite at z = 0.
 
     This is the natural radial profile of Fourier transforms of sphere
-    measures; evaluating it directly avoids 0/0 at the origin.
+    measures; evaluating it directly avoids 0/0 at the origin.  z is a
+    float or an ndarray.  An array runs each branch once over the elements
+    that take it (the series for z <= 12, the Hankel seeds and the upward
+    recurrence, or the half-order closed form) with the float path's
+    per-element stopping rules, so it returns the float path's values; they
+    are bit-equal where numpy's float64 cos and sin round as the C
+    library's do, and z^nu is taken with np.float_power, which calls the C
+    library's pow as the float path does.
     """
     nu = float(_as_half_integer(order))
+    if np.ndim(z):
+        z = np.asarray(z, dtype=float)
+        if np.any(z < 0.0) or np.any(z == math.inf):
+            raise ValueError("z must be finite and >= 0")
+        out = np.empty(z.shape)
+        small = z <= _SERIES_SWITCH
+        out[small] = _series_array(nu, z[small])
+        x = z[~small]
+        if nu % 1:
+            j = _half_order_closed(nu, x, np)
+        else:
+            j = _hankel_asymptotic_array(0, x)
+            if nu:
+                j = _recur_up(j, _hankel_asymptotic_array(1, x), 1.0, nu, x)
+        out[~small] = j / np.float_power(x, nu)
+        return out
     if z < 0.0:
         raise ValueError("z must be >= 0")
     if z > _SERIES_SWITCH:

@@ -32,6 +32,7 @@ from specproj.kernels import (
     projector_kernel_deriv,
     rescaled_kernel,
     sphere_pair_deriv_batch,
+    torus_cumulative_batch,
     torus_pair_deriv_batch,
 )
 from specproj.models import (
@@ -39,6 +40,7 @@ from specproj.models import (
     SpectralWindow,
     TorusModel,
     exp_map,
+    torus_modes,
 )
 from specproj.special import sphere_quadrature
 
@@ -56,6 +58,25 @@ class TestMultiIndices:
         assert idx == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
         assert multi_indices(3, 0) == [(0, 0, 0)]
         assert len(multi_indices(3, 2)) == 10
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("max_order", [0, 1, 2, 3, 4])
+    def test_matches_recursive_construction(self, dim, max_order):
+        # the earlier recursive construction, kept here as the oracle
+        def recursive(dim, max_order):
+            out = []
+            for total in range(max_order + 1):
+                def build(prefix, remaining, dims_left):
+                    if dims_left == 1:
+                        out.append(prefix + (remaining,))
+                        return
+                    for head in range(remaining, -1, -1):
+                        build(prefix + (head,), remaining - head,
+                              dims_left - 1)
+                build((), total, dim)
+            return out
+
+        assert multi_indices(dim, max_order) == recursive(dim, max_order)
 
     def test_orders_validated(self):
         with pytest.raises(ValueError):
@@ -220,6 +241,54 @@ class TestTorusDerivatives:
             assert batch[i] == pytest.approx(single, rel=1e-12, abs=1e-12)
 
 
+class TestTorusCumulative:
+    # torus_cumulative_batch carries the raw mode sums of the windows
+    # (lam_{j-1}, lam_j] across a sweep
+    model = TorusModel(n=2)
+    diffs = np.random.default_rng(8).uniform(-1.0, 1.0, size=(40, 2))
+
+    @pytest.mark.parametrize("alpha,beta", [((0, 0), (0, 0)),
+                                            ((1, 0), (0, 0)),
+                                            ((2, 0), (0, 1))])
+    def test_one_lambda_is_the_window_batch(self, alpha, beta):
+        order = DerivOrder(alpha, beta)
+        for lam in (0.7, 13.2, 40.0):
+            got = torus_cumulative_batch(self.model, (lam,), self.diffs, order)
+            want = torus_pair_deriv_batch(self.model, SpectralWindow(0.0, lam),
+                                          self.diffs, order)
+            assert got.shape == (1, 40)
+            assert np.array_equal(got[0], want)
+
+    @pytest.mark.parametrize("alpha,beta", [((1, 0), (0, 0)),
+                                            ((2, 0), (0, 1)),
+                                            ((1, 1), (1, 1))])
+    def test_carry_within_summation_bound(self, alpha, beta):
+        # the carried sum and the one pairwise sum over (0, lam] may round
+        # differently, by at most 64 eps sum_k |k^gamma| / vol
+        order = DerivOrder(alpha, beta)
+        gamma = np.add(alpha, beta)
+        lams = tuple(np.geomspace(6.0, 60.0, 9))
+        got = torus_cumulative_batch(self.model, lams, self.diffs, order)
+        for row, lam in zip(got, lams):
+            window = SpectralWindow(0.0, lam)
+            want = torus_pair_deriv_batch(self.model, window, self.diffs,
+                                          order)
+            k = torus_modes(self.model, window).vectors
+            bound = (64 * np.finfo(float).eps
+                     * np.sum(np.abs(np.prod(k ** gamma, axis=1)))
+                     / self.model.volume)
+            assert np.max(np.abs(row - want)) <= bound
+
+    def test_repeated_and_decreasing_lambdas(self):
+        order = DerivOrder.zero(2)
+        got = torus_cumulative_batch(self.model, (0.0, 5.0, 5.0, 9.0),
+                                     self.diffs, order)
+        assert np.array_equal(got[0], np.zeros(40))
+        assert np.array_equal(got[1], got[2])
+        with pytest.raises(ValueError, match="must not decrease"):
+            torus_cumulative_batch(self.model, (5.0, 4.0), self.diffs, order)
+
+
 class TestSphereDerivatives:
     def test_mixed_derivative_closed_form(self):
         # for one cluster l, d/du1 d/dv1 at u=v=0 is (2l+1) l(l+1) / (8 pi)
@@ -319,6 +388,32 @@ class TestBallKernel:
                 got_fd = val(w) if callable(val) else val
                 assert got == pytest.approx(got_fd,
                                             abs=2e-5 * max(1.0, abs(got)))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_distance_array_equals_float_calls(self, n):
+        # lam * d crosses the series switch at 12 inside the array
+        d = np.array([0.0, 1e-9, 0.05, 0.3, 0.48, 0.4801, 1.5, 3.0])
+        got = ball_kernel(n, d, 25.0)
+        want = [ball_kernel(n, float(x), 25.0) for x in d]
+        assert np.array_equal(got.view(np.uint64),
+                              np.array(want).view(np.uint64))
+        with pytest.raises(ValueError):
+            ball_kernel(n, np.array([0.1, -0.1]), 25.0)
+
+    @pytest.mark.parametrize("gamma", [(1, 0), (2, 1), (3, 0), (1, 3), (0, 4)])
+    def test_deriv_rows_equal_one_row_calls(self, gamma):
+        # rows of w give the one-point values bit for bit, and -w gives
+        # (-1)^|gamma| times them exactly
+        rng = np.random.default_rng(3)
+        w = rng.uniform(-0.6, 0.6, size=(40, 2))
+        w[0] = 0.0
+        lam = 31.0
+        rows = ball_kernel_deriv(2, w, lam, gamma)
+        one = np.array([ball_kernel_deriv(2, row, lam, gamma) for row in w])
+        assert rows.shape == (40,)
+        assert np.array_equal(rows.view(np.uint64), one.view(np.uint64))
+        assert np.array_equal(ball_kernel_deriv(2, -w, lam, gamma),
+                              (-1.0) ** sum(gamma) * rows)
 
     def test_deriv_zero_order_matches_kernel(self):
         w = np.array([0.4, 0.3])

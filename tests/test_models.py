@@ -6,6 +6,7 @@ so it shares nothing with the production enumeration.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -168,8 +169,14 @@ class TestWindows:
                 return float(rng.integers(0, int(top)))
             return float(rng.uniform(0.0, top))
 
-        for _ in range(60):
-            lo, hi = sorted((edge(), edge()))
+        def on_sqrt_integers():
+            # an annulus with both edges at sqrt(integer): a shell of the
+            # lattice sits exactly on each
+            lo2, hi2 = sorted(rng.choice(int(top * top), 2, replace=False))
+            return math.sqrt(int(lo2)), math.sqrt(int(hi2))
+
+        for i in range(80):
+            lo, hi = sorted((edge(), edge())) if i < 60 else on_sqrt_integers()
             if hi <= lo:
                 continue
             window = SpectralWindow(lo, hi)
@@ -177,6 +184,23 @@ class TestWindows:
             assert vectors.dtype == np.float64
             assert not vectors.flags.writeable
             assert np.array_equal(vectors, brute_force_modes_torus(n, window))
+
+    @pytest.mark.parametrize("n,window", [(2, (0.0, 300.0)),
+                                          (2, (212.5, 300.0)),
+                                          (3, (0.0, 40.0))])
+    def test_build_peak_within_half_a_mode_list(self, n, window):
+        # the walk fills one preallocated array column by column, so the
+        # build needs little beyond the vectors themselves
+        torus_modes.cache_clear()
+        tracemalloc.start()
+        try:
+            vectors = torus_modes(TorusModel(n=n),
+                                  SpectralWindow(*window)).vectors
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vectors.shape[0] > 10_000
+        assert peak <= 1.5 * vectors.nbytes
 
     def test_mode_vectors_immutable(self):
         model = TorusModel(n=2)

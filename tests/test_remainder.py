@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_legendre, jv
 
+from specproj import kernels, remainder
 from specproj.kernels import (
     DerivOrder,
     ball_kernel_deriv,
@@ -25,6 +26,7 @@ from specproj.models import (
     counting_function,
     exp_map,
     tangent_frame,
+    torus_modes,
     torus_separation,
 )
 from specproj.remainder import (
@@ -237,6 +239,83 @@ class TestTorusFold:
         plus = torus_pair_deriv_batch(self.model, window, d, order)
         minus = torus_pair_deriv_batch(self.model, window, -d, order)
         assert np.array_equal(minus, (-1.0) ** order.omega * plus)
+
+
+class TestOnePassSweep:
+    # remainder_sweep evaluates all its lam in one pass: the torus windows
+    # (lam_{j-1}, lam_j] are enumerated once each and their mode sums
+    # carried; remainder_batch is the one-lam call of the same bracket
+
+    def test_diagonal_sweep_bit_equal_to_per_lambda_batches(self):
+        # at d = 0 and order 0 the mode sums are exact integers, so the
+        # carry cannot round differently from one sum over (0, lam]
+        model = TorusModel(n=2)
+        x = np.array([[1.3, 0.2]])
+        lams = tuple(np.geomspace(25.0, 400.0, 201))
+        report = remainder_sweep(model, x[0], ProbeGrid(0.1, 1), lams)
+        order = DerivOrder.zero(2)
+        for lam, sup in zip(lams, report.sups):
+            # one cached ball per lam would hold hundreds of MB
+            torus_modes.cache_clear()
+            want = abs(remainder_batch(model, x, x, lam, order)[0])
+            assert bits(sup) == bits(want)
+
+    @pytest.mark.parametrize("alpha, beta", [
+        ((1, 0), (0, 0)), ((2, 0), (0, 1)), ((1, 1), (1, 1))],
+        ids=["1:0,0:0", "2:0,0:1", "1:1,1:1"])
+    def test_grid_sweep_within_carry_bound(self, alpha, beta):
+        # the carry and one pairwise sum round differently, by at most
+        # 64 eps sum_k |k^gamma| / vol on every row
+        model = TorusModel(n=2)
+        x0 = np.array([0.3, 6.1])
+        probe = ProbeGrid(0.5, 5)
+        order = DerivOrder(alpha, beta)
+        gamma = np.add(alpha, beta)
+        lams = tuple(np.geomspace(8.0, 64.0, 9))
+        report = remainder_sweep(model, x0, probe, lams, order)
+        us, vs = probe.pairs(2)
+        xs, ys = exp_map(model, x0, us), exp_map(model, x0, vs)
+        for lam, sup in zip(lams, report.sups):
+            k = torus_modes(model, SpectralWindow(0.0, lam)).vectors
+            bound = (64 * np.finfo(float).eps
+                     * np.sum(np.abs(np.prod(k ** gamma, axis=1)))
+                     / model.volume)
+            want = np.max(np.abs(remainder_batch(model, xs, ys, lam, order)))
+            assert abs(sup - want) <= bound
+
+    @pytest.mark.parametrize("n, lams", [
+        (2, tuple(np.geomspace(5.0, 80.0, 21))),
+        (3, tuple(np.geomspace(3.0, 15.0, 11)))], ids=["torus2", "torus3"])
+    def test_every_mode_enumerated_once(self, monkeypatch, n, lams):
+        model = TorusModel(n=n)
+        counts = []
+
+        def counting(model, window):
+            modes = torus_modes(model, window)
+            counts.append(modes.count)
+            return modes
+
+        monkeypatch.setattr(kernels, "torus_modes", counting)
+        remainder_sweep(model, np.zeros(n), ProbeGrid(0.1, 2), lams,
+                        DerivOrder((1,) + (0,) * (n - 1), (0,) * n))
+        assert len(counts) == len(lams)
+        assert sum(counts) == counting_function(model, lams[-1]) - 1
+
+    @pytest.mark.parametrize("lams", [(10.0, 20.0, 20.0, 40.0),
+                                      (10.0, 40.0, 20.0, 80.0)],
+                             ids=["repeated", "decreasing"])
+    @pytest.mark.parametrize("model, x0", [
+        (TorusModel(n=2), np.zeros(2)),
+        (SphereModel(), np.array([0.0, 0.0, 1.0]))], ids=["torus2", "sphere"])
+    def test_unordered_lambdas_refused_before_any_window(
+            self, monkeypatch, model, x0, lams):
+        def refuse(*args):
+            raise AssertionError("a window was enumerated")
+
+        monkeypatch.setattr(kernels, "torus_modes", refuse)
+        monkeypatch.setattr(remainder, "sphere_clusters", refuse)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            remainder_sweep(model, x0, ProbeGrid(0.1, 2), lams)
 
 
 class TestExponentFit:

@@ -77,6 +77,33 @@ class TestBessel:
             want = float(ssp.jv(nu, z)) / z ** nu
             assert bessel_j_scaled(nu, z) == pytest.approx(want, rel=1e-10)
 
+    def test_array_equals_float_path(self):
+        # the float path is the reference: bit-equal on the series side of
+        # the switch and for nu <= 1 (no power of z above the switch), and
+        # within 2 ulps elsewhere, where z^nu goes through pow
+        rng = np.random.default_rng(11)
+        z = np.concatenate([
+            [0.0, 1e-300, 12.0, np.nextafter(12.0, np.inf), 1e4],
+            rng.uniform(0.0, 12.0, 400),
+            np.exp(rng.uniform(math.log(12.0), math.log(1e4), 400))])
+        for nu in [k / 2 for k in range(13)]:
+            got = bessel_j_scaled(nu, z)
+            want = np.array([bessel_j_scaled(nu, float(x)) for x in z])
+            exact = (z <= 12.0) | (nu <= 1)
+            assert np.array_equal(got[exact].view(np.uint64),
+                                  want[exact].view(np.uint64)), nu
+            ulps = np.abs(got - want) / np.spacing(np.abs(want))
+            assert np.max(ulps) <= 2.0, nu
+
+    def test_array_keeps_shape_and_rejects_negatives(self):
+        z = np.array([[0.0, 5.0, 13.0], [20.0, 0.5, 400.0]])
+        got = bessel_j_scaled(2, z)
+        assert got.shape == (2, 3)
+        assert got[1, 2] == bessel_j_scaled(2, 400.0)
+        assert bessel_j_scaled(1, np.zeros(0)).shape == (0,)
+        with pytest.raises(ValueError):
+            bessel_j_scaled(1, np.array([1.0, -1e-9]))
+
     @settings(max_examples=80, deadline=None)
     @given(x=st.floats(0.0, 40.0))
     def test_recurrence_identity(self, x):
