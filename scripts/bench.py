@@ -18,13 +18,16 @@ BENCH_<label>.json (written to the repository root) holds, per run: the
 tree name, the git sha and `src/` line count perfbench recorded, the gated
 metrics, `measured_s` (the run's wall time including the oracles, which
 perfbench checks after the timed loop), the attempted and failed counts
-and one sha256 over batch 0's output digests, so two trees' batch-0
-outputs are byte-identical exactly when those hashes match.  Beside the
-runs sit the environment of the first run and, per tree and workload,
-the quartiles [q1, median, q3] of every metric over all its runs.  Given
-exactly two trees it also records, per workload and gated metric, how many
-(seed, repeat) pairs the second tree won (ties count for neither) and
-whether the two medians differ by more than the first tree's IQR.
+and, per batch, a sha256 (first 16 hex digits) over the batch's output
+digests, so two runs' outputs of a batch are byte-identical exactly when
+those hashes match.  Beside the runs sit the environment of the first run
+and, per tree and workload, the quartiles [q1, median, q3] of every metric
+over all its runs.  Given exactly two trees it also records, per workload
+and gated metric, how many (seed, repeat) pairs the second tree won (ties
+count for neither) and whether the two medians differ by more than the
+first tree's IQR; and, per workload, how many of the (seed, batch) pairs
+that both trees ran have one digest over all runs, and the first that
+does not.  Every run with failed experiments is printed at the end.
 Standard library only.
 """
 
@@ -75,7 +78,7 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
     record = json.loads(Path(path).read_text())
     context = record["context"]
     per_batch = context["experiments"] // context["batches"]
-    batch0 = [r.get("sha256") for r in record["records"][:per_batch]]
+    digests = [r.get("sha256") for r in record["records"]]
     return {
         "workload": workload,
         "seed": seed,
@@ -85,8 +88,10 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
         "measured_s": context["measured_s"],
         "attempted": record["attempted"],
         "failed": record["failed"],
-        "batch0_sha256": hashlib.sha256(
-            json.dumps(batch0, sort_keys=True).encode()).hexdigest(),
+        "batch_sha256": [
+            hashlib.sha256(json.dumps(digests[i:i + per_batch],
+                                      sort_keys=True).encode()).hexdigest()[:16]
+            for i in range(0, len(digests), per_batch)],
         "environment": record["environment"],
     }
 
@@ -132,6 +137,30 @@ def pair_wins(runs: list[dict], quarts: dict, first: str,
     return out
 
 
+def output_identity(runs: list[dict], first: str, second: str) -> dict:
+    """Per workload: the (seed, batch) pairs that both trees ran, how many
+    of them have one output digest over every run of either tree, and the
+    first (seed, batch) that does not."""
+    out = {}
+    for workload in WORKLOADS:
+        trees: dict = {}
+        digests: dict = {}
+        for run in runs:
+            if run["workload"] == workload:
+                for batch, digest in enumerate(run["batch_sha256"]):
+                    key = (run["seed"], batch)
+                    trees.setdefault(key, set()).add(run["tree"])
+                    digests.setdefault(key, set()).add(digest)
+        both = sorted(key for key, names in trees.items()
+                      if {first, second} <= names)
+        differing = [key for key in both if len(digests[key]) > 1]
+        out[workload] = {"pairs": len(both),
+                         "matching": len(both) - len(differing),
+                         "first_differing": (list(differing[0]) if differing
+                                             else None)}
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("label")
@@ -172,6 +201,16 @@ def main(argv=None) -> int:
                               + ("*" if v["beyond_iqr"] else "")
                               for k, v in metrics.items())
             print(f"{second} wins {workload:22s} {shown}")
+        result["output_identity"] = output_identity(runs, first, second)
+        for workload, same in result["output_identity"].items():
+            print(f"identical {workload:22s} {same['matching']}/"
+                  f"{same['pairs']} (seed, batch) pairs, first differing "
+                  f"{same['first_differing']}")
+    for run in runs:
+        if run["failed"]:
+            print(f"FAILED   {run['tree']:8s} {run['workload']:22s} "
+                  f"seed {run['seed']} repeat {run['repeat']}: "
+                  f"{run['failed']} of {run['attempted']} experiments")
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}")

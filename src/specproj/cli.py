@@ -123,9 +123,8 @@ def _run_kernel(config: KernelConfig, out_dir: Path,
               + ["alpha", "beta", "value"])
     alpha_text = format_multi_index(config.alpha)
     beta_text = format_multi_index(config.beta)
-    rows = [tuple(us[i]) + tuple(vs[i]) + (alpha_text, beta_text,
-                                           float(values[i]))
-            for i in range(us.shape[0])]
+    rows = [tuple(u) + tuple(v) + (alpha_text, beta_text, value)
+            for u, v, value in zip(us.tolist(), vs.tolist(), values.tolist())]
     write_csv(out_dir / "kernel_field.csv", header, rows)
     return ["kernel_field.csv"]
 

@@ -23,9 +23,10 @@ kernels are differentiated term by term (exact trig factors) in
 torus_pair_deriv_batch, and torus_cumulative_batch runs the same sums over
 the nested windows of a cumulative sweep.  Sphere kernels go through sphere_fd_batch:
 central finite differences with one Richardson extrapolation level in
-normal coordinates, applied to any profile of t = <x, y>, with every
-stencil point of every row in one sweep.  The scalar entry points are
-one-row calls of these.
+normal coordinates, applied to any elementwise profile of t = <x, y>,
+with the stencil points of both steps and every row in one call of the
+profile on the distinct t.  The scalar entry points are one-row calls of
+these.
 """
 
 from __future__ import annotations
@@ -173,16 +174,16 @@ _STENCILS = {
 
 @lru_cache(maxsize=256)
 def _tensor_stencil(alpha: tuple[int, ...], beta: tuple[int, ...]):
-    """Tensor-product central stencil: list of (du, dv, coeff).
+    """Tensor-product central stencil: coefficients and the offsets du, dv
+    of its points, shape (points, 1, dim).
 
     Coefficients are for step h = 1; the caller divides by h^omega.
     """
-    dim = len(alpha)
-    points = []
-    for taps in itertools.product(*(_STENCILS[o] for o in alpha + beta)):
-        steps = tuple(step for step, _ in taps)
-        points.append((steps[:dim], steps[dim:], math.prod(w for _, w in taps)))
-    return tuple(points)
+    taps = list(itertools.product(*(_STENCILS[o] for o in alpha + beta)))
+    coeffs = np.array([math.prod(w for _, w in row) for row in taps])
+    steps = np.array([[s for s, _ in row] for row in taps],
+                     dtype=float)[:, None, :]
+    return coeffs, steps[..., :len(alpha)], steps[..., len(alpha):]
 
 
 def sphere_fd_batch(model: SphereModel, xu, xv, profile, us, vs,
@@ -191,29 +192,37 @@ def sphere_fd_batch(model: SphereModel, xu, xv, profile, us, vs,
 
     xu and xv are base points, one for all rows or one per row; alpha acts
     on u and beta on v in their normal coordinates.  Orders above zero use
-    central differences (step FD_STEP, one Richardson level), and every
-    stencil point of every row goes through one profile sweep.
+    central differences (step FD_STEP, one Richardson level): the stencil
+    points of both steps and every row go through one pair of exp_map
+    calls and one profile call on the distinct values of t.  So a profile
+    must be elementwise in t, giving equal values at equal t whatever else
+    its argument holds.  It returns the shape of its argument, or one
+    leading axis more (one row per window, say), and then so does this.
     """
     us = np.asarray(us, dtype=float)
     vs = np.asarray(vs, dtype=float)
+    u, v = us, vs
+    if order.omega:
+        coeffs, du, dv = _tensor_stencil(order.alpha, order.beta)
+        steps = np.array([0.5 * FD_STEP, FD_STEP])[:, None, None, None]
+        u, v = us + steps * du, vs + steps * dv
+    t = np.sum(exp_map(model, xu, u) * exp_map(model, xv, v), axis=-1)
+    distinct, inverse = np.unique(np.clip(t, -1.0, 1.0), return_inverse=True)
+    # take keeps the values C-contiguous, so each (stencil, rows) block
+    # meets BLAS in the layout of a one-step sweep, and rounds as it did
+    vals = profile(distinct).take(inverse.reshape(t.shape), axis=-1)
+    if not order.omega:
+        return vals
 
-    def sweep(u, v):
-        t = np.sum(exp_map(model, xu, u) * exp_map(model, xv, v), axis=-1)
-        return profile(np.clip(t, -1.0, 1.0))
+    def combine(pair):
+        # (2, stencil, rows) values, combined along the stencil axis
+        small, big = ((coeffs @ part) / step ** order.omega
+                      for part, step in zip(pair, (0.5 * FD_STEP, FD_STEP)))
+        return (4.0 * small - big) / 3.0
 
-    if order.omega == 0:
-        return sweep(us, vs)
-    stencil = _tensor_stencil(order.alpha, order.beta)
-    coeffs = np.array([c for _, _, c in stencil])
-    du = np.array([du for du, _, _ in stencil], dtype=float)[:, None, :]
-    dv = np.array([dv for _, dv, _ in stencil], dtype=float)[:, None, :]
-
-    def value(step):
-        # (stencil, rows) values, combined along the stencil axis
-        vals = sweep(us + step * du, vs + step * dv)
-        return (coeffs @ vals) / step ** order.omega
-
-    return (4.0 * value(0.5 * FD_STEP) - value(FD_STEP)) / 3.0
+    if vals.ndim == t.ndim:
+        return combine(vals)
+    return np.array([combine(pair) for pair in vals])
 
 
 # --------------------------------------------------------------------------

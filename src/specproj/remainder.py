@@ -11,9 +11,10 @@ point pairs with the kernels module's derivative mechanism for each model
 (term by term on the torus, sphere_fd_batch on the sphere); the single
 field is a call of it, and a sweep evaluates the same bracket for all its
 lam at once, so that a torus sweep enumerates each mode of its largest
-window once.  On the torus the diagonal remainder
-is the classical lattice-count error divided by the volume, so exact
-integer counting doubles as an oracle for everything here.
+window once and a sphere sweep runs one Legendre pass.  On the torus the
+diagonal remainder is the classical lattice-count error divided by the
+volume, so exact integer counting doubles as an oracle for everything
+here.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def _bracket(model: Model, xs: np.ndarray, ys: np.ndarray, lambdas,
              order: DerivOrder) -> np.ndarray:
     """remainder_batch for each lam of an increasing sequence, shape
     (len(lambdas), rows); the torus enumerates every mode of (0, lam_max]
-    once."""
+    once, and the sphere runs one Legendre pass to its top degree."""
     n = model.n
     const = 1.0 / model.volume if order.omega == 0 else 0.0
     if isinstance(model, TorusModel):
@@ -77,16 +78,23 @@ def _bracket(model: Model, xs: np.ndarray, ys: np.ndarray, lambdas,
         # odd omega: const is 0 and the unfolded bracket is never -0.0
         return values * flip + 0.0 if order.omega % 2 else values
 
-    def bracket(lam):
-        coeffs = (sphere_coeffs(sphere_clusters(model,
-                                                SpectralWindow(0.0, lam)))
-                  if lam > 0 else np.zeros(0))
-        return lambda t: (legendre_weighted_sum(coeffs, t) + const
-                          - ball_kernel(n, np.arccos(t), lam))
+    # the coefficients of (0, lam_j] are those of (0, lam_max] up to the
+    # top degree of (0, lam_j], so one Legendre pass gives every lam_j its
+    # partial sum, bit-equal to a pass truncated there
+    windows = [sphere_coeffs(sphere_clusters(model, SpectralWindow(0.0, lam)))
+               if lam > 0 else np.zeros(0) for lam in lambdas]
+
+    def bracket(t):
+        values = legendre_weighted_sum(windows[-1], t,
+                                       [c.size - 1 for c in windows])
+        d = np.arccos(t)
+        for row, lam in zip(values, lambdas):
+            row += const
+            row -= ball_kernel(n, d, lam)
+        return values
 
     zero = np.zeros(model.dim)
-    return np.array([sphere_fd_batch(model, xs, ys, bracket(lam), zero, zero,
-                                     order) for lam in lambdas])
+    return sphere_fd_batch(model, xs, ys, bracket, zero, zero, order)
 
 
 def remainder_batch(model: Model, xs: np.ndarray, ys: np.ndarray, lam: float,

@@ -203,28 +203,52 @@ def legendre_p(ell: int, t: float) -> tuple[float, float]:
     return p, dp
 
 
-def legendre_weighted_sum(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
+def legendre_weighted_sum(coeffs: np.ndarray, t: np.ndarray,
+                          tops=None) -> np.ndarray:
     """sum_l coeffs[l] * P_l(t) for an array of arguments t.
 
-    Single vectorized sweep of the recurrence up to len(coeffs)-1.
+    One vectorized sweep of the recurrence up to len(coeffs)-1, run in
+    place in three rotating buffers.  Given a non-decreasing sequence of
+    tops in [-1, len(coeffs)-1], the sweep runs to the last top and returns
+    the partial sums over l <= top for every top, shape (len(tops),) +
+    t.shape; a top of -1 gives 0.  Each partial sum has taken exactly the
+    operations of a call on coeffs[:top + 1], so it equals that call bit
+    for bit.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     t = np.asarray(t, dtype=float)
     if np.any(np.abs(t) > 1.0 + 1e-12):
         raise ValueError("t outside [-1, 1]")
     t = np.clip(t, -1.0, 1.0)
-    out = np.full_like(t, coeffs[0]) if coeffs.size else np.zeros_like(t)
-    if coeffs.size <= 1:
-        return out
-    p_prev = np.ones_like(t)
-    p = t.copy()
-    out = out + coeffs[1] * p
-    for m in range(1, coeffs.size - 1):
-        p_next = ((2 * m + 1) * t * p - m * p_prev) / (m + 1)
-        p_prev, p = p, p_next
-        if coeffs[m + 1] != 0.0:
-            out = out + coeffs[m + 1] * p
-    return out
+    wanted = [coeffs.size - 1] if tops is None else [int(k) for k in tops]
+    if (any(b < a for a, b in zip(wanted, wanted[1:]))
+            or wanted and not -1 <= wanted[0] <= wanted[-1] < coeffs.size):
+        raise ValueError("tops must not decrease and must lie in "
+                         f"[-1, {coeffs.size - 1}]")
+    sums = np.zeros((len(wanted),) + t.shape)
+    rows = {l: [i for i, top in enumerate(wanted) if top == l]
+            for l in wanted}
+    if wanted and wanted[-1] >= 0:
+        out = np.full_like(t, coeffs[0])
+        if 0 in rows:
+            sums[rows[0]] = out
+        p_prev, p = np.ones_like(t), np.ones_like(t)
+        p_next, scratch = np.empty_like(t), np.empty_like(t)
+        for m in range(wanted[-1]):
+            # P_{m+1} = ((2m+1) t P_m - m P_{m-1}) / (m+1), in that order;
+            # m = 0 gives P_1 = t exactly
+            np.multiply(t, 2 * m + 1, out=p_next)
+            p_next *= p
+            p_prev *= m
+            p_next -= p_prev
+            p_next /= m + 1
+            p_prev, p, p_next = p, p_next, p_prev
+            if m == 0 or coeffs[m + 1] != 0.0:
+                np.multiply(p, coeffs[m + 1], out=scratch)
+                out += scratch
+            if m + 1 in rows:
+                sums[rows[m + 1]] = out
+    return sums if tops is not None else sums[0]
 
 
 # --------------------------------------------------------------------------

@@ -10,6 +10,7 @@ Oracle layout:
   and against scipy.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as ssp
 
+from specproj import kernels
 from specproj.kernels import (
     DerivOrder,
     ball_kernel,
@@ -31,6 +33,7 @@ from specproj.kernels import (
     projector_kernel,
     projector_kernel_deriv,
     rescaled_kernel,
+    sphere_fd_batch,
     sphere_pair_deriv_batch,
     torus_cumulative_batch,
     torus_pair_deriv_batch,
@@ -42,7 +45,7 @@ from specproj.models import (
     exp_map,
     torus_modes,
 )
-from specproj.special import sphere_quadrature
+from specproj.special import legendre_weighted_sum, sphere_quadrature
 
 TWO_PI = 2.0 * math.pi
 
@@ -324,6 +327,110 @@ class TestSphereDerivatives:
             single = projector_kernel_deriv(model, window, x0, us[i], vs[i],
                                             order)
             assert batch[i] == pytest.approx(single, rel=1e-9, abs=1e-9)
+
+
+def two_sweep_fd(model, xu, xv, profile, us, vs, order, h=1e-4):
+    """The earlier sphere_fd_batch, kept as the oracle: one profile sweep
+    over every stencil point per Richardson step, no dedupe."""
+    taps = {0: ((0, 1.0),), 1: ((-1, -0.5), (1, 0.5)),
+            2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
+            3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
+            4: ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0))}
+    dim = len(order.alpha)
+
+    def sweep(u, v):
+        t = np.sum(exp_map(model, xu, u) * exp_map(model, xv, v), axis=-1)
+        return profile(np.clip(t, -1.0, 1.0))
+
+    if order.omega == 0:
+        return sweep(us, vs)
+    stencil = [([s for s, _ in row], math.prod(w for _, w in row))
+               for row in itertools.product(
+                   *(taps[o] for o in order.alpha + order.beta))]
+    coeffs = np.array([c for _, c in stencil])
+    du = np.array([s[:dim] for s, _ in stencil], dtype=float)[:, None, :]
+    dv = np.array([s[dim:] for s, _ in stencil], dtype=float)[:, None, :]
+
+    def value(step):
+        vals = sweep(us + step * du, vs + step * dv)
+        return (coeffs @ vals) / step ** order.omega
+
+    return (4.0 * value(0.5 * h) - value(h)) / 3.0
+
+
+def bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.uint64).ravel().tolist()
+
+
+class TestSphereFdBatch:
+    # one pair of exp_map calls and one profile call on the distinct t for
+    # both Richardson steps; every value equals the two-sweep formula
+    model = SphereModel()
+    rng = np.random.default_rng(21)
+    us = rng.uniform(-0.4, 0.4, (12, 2))
+    vs = rng.uniform(-0.4, 0.4, (12, 2))
+    bases = rng.standard_normal((12, 3))
+    bases /= np.linalg.norm(bases, axis=1)[:, None]
+    coeffs = rng.uniform(0.0, 1.0, 150)
+    ORDERS = [DerivOrder(a, b) for a in multi_indices(2, 4)
+              for b in multi_indices(2, 4) if sum(a) + sum(b) <= 4]
+
+    def profile(self, t):
+        return legendre_weighted_sum(self.coeffs, t)
+
+    @pytest.mark.parametrize("order", ORDERS, ids=lambda o: f"{o.alpha}{o.beta}")
+    def test_equals_two_sweep_formula(self, order):
+        x0 = self.bases[0]
+        for xu, xv in ((x0, x0), (self.bases, self.bases[::-1])):
+            got = sphere_fd_batch(self.model, xu, xv, self.profile, self.us,
+                                  self.vs, order)
+            want = two_sweep_fd(self.model, xu, xv, self.profile, self.us,
+                                self.vs, order)
+            assert bits(got) == bits(want)
+
+    @pytest.mark.parametrize("order", [DerivOrder.zero(2),
+                                       DerivOrder((1, 0), (0, 1)),
+                                       DerivOrder((2, 0), (1, 1))],
+                             ids=["0", "1:0,0:1", "2:0,1:1"])
+    def test_leading_axis_of_the_profile(self, order):
+        # a profile with one row per coefficient set gives one row each
+        sets = self.rng.uniform(0.0, 1.0, (3, 40))
+
+        def stacked(t):
+            return np.array([legendre_weighted_sum(c, t) for c in sets])
+
+        got = sphere_fd_batch(self.model, self.bases[1], self.bases[2],
+                              stacked, self.us, self.vs, order)
+        assert got.shape == (3, 12)
+        for row, c in zip(got, sets):
+            want = two_sweep_fd(self.model, self.bases[1], self.bases[2],
+                                lambda t: legendre_weighted_sum(c, t),
+                                self.us, self.vs, order)
+            assert bits(row) == bits(want)
+
+    @pytest.mark.parametrize("order", [DerivOrder.zero(2),
+                                       DerivOrder((1, 0), (1, 0)),
+                                       DerivOrder((2, 2), (0, 0))],
+                             ids=["0", "1:0,1:0", "2:2,0:0"])
+    def test_one_pass_per_batch(self, monkeypatch, order):
+        calls = {"legendre": [], "exp_map": 0}
+
+        def legendre(coeffs, t, tops=None):
+            calls["legendre"].append(t)
+            return legendre_weighted_sum(coeffs, t, tops)
+
+        def counted_exp_map(*args):
+            calls["exp_map"] += 1
+            return exp_map(*args)
+
+        monkeypatch.setattr(kernels, "legendre_weighted_sum", legendre)
+        monkeypatch.setattr(kernels, "exp_map", counted_exp_map)
+        sphere_pair_deriv_batch(self.model, SpectralWindow(20.0, 30.0),
+                                self.bases[0], self.us, self.vs, order)
+        assert len(calls["legendre"]) == 1
+        assert calls["exp_map"] == 2
+        t = calls["legendre"][0]
+        assert np.unique(t).size == t.size
 
 
 class TestBallKernel:

@@ -318,6 +318,50 @@ class TestOnePassSweep:
             remainder_sweep(model, x0, ProbeGrid(0.1, 2), lams)
 
 
+class TestSphereOnePassSweep:
+    # a sphere sweep runs one Legendre pass with the coefficients of
+    # (0, lam_max] and reads each lam_j's partial sum off at its top
+    # degree, which takes the operations of a pass truncated there
+    model = SphereModel()
+    x0 = np.array([0.36, -0.48, 0.8])
+
+    @pytest.mark.parametrize("alpha, beta", [
+        ((0, 0), (0, 0)), ((1, 0), (0, 0)), ((1, 0), (1, 0)),
+        ((2, 0), (0, 1))], ids=["0:0,0:0", "1:0,0:0", "1:0,1:0", "2:0,0:1"])
+    def test_sweep_bit_equal_to_per_lambda_batches(self, alpha, beta):
+        # the range starts below the first cluster, sqrt(2)
+        lams = tuple(np.geomspace(0.5, 400.0, 41))
+        order = DerivOrder(alpha, beta)
+        probe = ProbeGrid(0.3, 3)
+        report = remainder_sweep(self.model, self.x0, probe, lams, order)
+        us, vs = probe.pairs(2)
+        xs, ys = exp_map(self.model, self.x0, us), exp_map(self.model,
+                                                           self.x0, vs)
+        want = [np.max(np.abs(remainder_batch(self.model, xs, ys, lam,
+                                              order))) for lam in lams]
+        assert np.array_equal(bits(report.sups), bits(want))
+
+    def test_one_pass_per_sweep(self, monkeypatch):
+        calls = {"legendre": 0, "exp_map": 0}
+        legendre, exp = remainder.legendre_weighted_sum, kernels.exp_map
+
+        def counted_legendre(*args):
+            calls["legendre"] += 1
+            return legendre(*args)
+
+        def counted_exp_map(*args):
+            calls["exp_map"] += 1
+            return exp(*args)
+
+        monkeypatch.setattr(remainder, "legendre_weighted_sum",
+                            counted_legendre)
+        monkeypatch.setattr(kernels, "exp_map", counted_exp_map)
+        remainder_sweep(self.model, self.x0, ProbeGrid(0.1, 3),
+                        tuple(np.geomspace(25.0, 400.0, 9)),
+                        DerivOrder((1, 0), (0, 0)))
+        assert calls == {"legendre": 1, "exp_map": 2}
+
+
 class TestExponentFit:
     def test_exact_power_law_recovery(self):
         lams = (10.0, 20.0, 40.0, 80.0, 160.0)

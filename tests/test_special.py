@@ -104,6 +104,21 @@ class TestBessel:
         with pytest.raises(ValueError):
             bessel_j_scaled(1, np.array([1.0, -1e-9]))
 
+    @pytest.mark.parametrize("nu", [1, 2, 3])
+    def test_array_is_elementwise(self, nu):
+        # callers evaluate on distinct arguments only and index back, so a
+        # value must not depend on what else the array holds
+        rng = np.random.default_rng(17)
+        z = np.concatenate([[0.0, 12.0, np.nextafter(12.0, np.inf)],
+                            rng.uniform(0.0, 24.0, 997)])
+        full = bessel_j_scaled(nu, z)
+        for subset in (np.arange(0, z.size, 7), np.flatnonzero(z > 12.0),
+                       np.flatnonzero(z <= 12.0), rng.permutation(z.size)[:5],
+                       np.array([1])):
+            part = bessel_j_scaled(nu, z[subset])
+            assert np.array_equal(part.view(np.uint64),
+                                  full[subset].view(np.uint64))
+
     @settings(max_examples=80, deadline=None)
     @given(x=st.floats(0.0, 40.0))
     def test_recurrence_identity(self, x):
@@ -152,6 +167,62 @@ class TestLegendre:
         want = sum(c * np.array([legendre_p(l, float(tt))[0] for tt in t])
                    for l, c in enumerate(coeffs))
         assert np.allclose(got, want, atol=1e-12)
+
+    def test_in_place_sweep_equals_allocating_sweep(self):
+        # the earlier sweep, one new array per operation, kept here as the
+        # oracle: the in-place buffers take the same operations in order
+        def allocating(coeffs, t):
+            t = np.clip(np.asarray(t, dtype=float), -1.0, 1.0)
+            out = (np.full_like(t, coeffs[0]) if coeffs.size
+                   else np.zeros_like(t))
+            if coeffs.size <= 1:
+                return out
+            p_prev, p = np.ones_like(t), t.copy()
+            out = out + coeffs[1] * p
+            for m in range(1, coeffs.size - 1):
+                p_next = ((2 * m + 1) * t * p - m * p_prev) / (m + 1)
+                p_prev, p = p, p_next
+                if coeffs[m + 1] != 0.0:
+                    out = out + coeffs[m + 1] * p
+            return out
+
+        rng = np.random.default_rng(8)
+        t = np.concatenate([[-1.0, 1.0, 0.0, -0.0], rng.uniform(-1, 1, 200)])
+        for size in (0, 1, 2, 3, 40, 401):
+            coeffs = rng.standard_normal(size)
+            coeffs[rng.random(size) < 0.3] = 0.0
+            assert bits(legendre_weighted_sum(coeffs, t)) == bits(
+                allocating(coeffs, t))
+            assert bits(legendre_weighted_sum(coeffs, 0.3)) == bits(
+                allocating(coeffs, 0.3))
+
+    @pytest.mark.parametrize("tops", [
+        [-1], [0], [1], [-1, 0, 1], [3, 3, 3], [-1, -1, 5, 5, 29],
+        [0, 1, 2, 7, 29]])
+    def test_tops_equal_truncated_calls(self, tops):
+        rng = np.random.default_rng(4)
+        coeffs = rng.standard_normal(30)
+        coeffs[[2, 5, 11]] = 0.0
+        for t in (np.concatenate([[-1.0, 1.0], rng.uniform(-1, 1, 50)]),
+                  rng.uniform(-1, 1, (3, 4)), 1.0, -1.0, 0.25):
+            got = legendre_weighted_sum(coeffs, t, tops)
+            assert got.shape == (len(tops),) + np.shape(t)
+            for row, top in zip(got, tops):
+                assert bits(row) == bits(
+                    legendre_weighted_sum(coeffs[:top + 1], t))
+
+    def test_tops_checked(self):
+        coeffs = np.ones(5)
+        for tops in ([2, 1], [-2], [5], [0, 5]):
+            with pytest.raises(ValueError, match="tops"):
+                legendre_weighted_sum(coeffs, np.zeros(3), tops)
+        assert legendre_weighted_sum(coeffs, np.zeros(3), []).shape == (0, 3)
+        assert np.array_equal(legendre_weighted_sum(np.zeros(0), np.ones(2),
+                                                    [-1, -1]), np.zeros((2, 2)))
+
+
+def bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.uint64).ravel().tolist()
 
 
 def double_factorial(k: int) -> int:
