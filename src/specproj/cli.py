@@ -38,6 +38,7 @@ from .kernels import (
     default_quad_degree,
     limit_kernel_batch,
     multi_indices,
+    projector_kernel_deriv,
     sphere_pair_deriv_batch,
     torus_pair_deriv_batch,
 )
@@ -112,11 +113,7 @@ def _run_kernel(config: KernelConfig, out_dir: Path,
     us, vs = ProbeGrid(radius=config.probe_radius,
                        points_per_axis=config.points_per_axis).pairs(model.dim)
     order = DerivOrder(alpha=config.alpha, beta=config.beta)
-    if isinstance(model, TorusModel):
-        values = torus_pair_deriv_batch(model, config.window, us - vs, order)
-    else:
-        values = sphere_pair_deriv_batch(model, config.window, x0, us, vs,
-                                         order)
+    values = projector_kernel_deriv(model, config.window, x0, us, vs, order)
     dim = model.dim
     header = ([f"u_{i + 1}" for i in range(dim)]
               + [f"v_{i + 1}" for i in range(dim)]

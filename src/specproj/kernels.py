@@ -25,8 +25,9 @@ the nested windows of a cumulative sweep.  Sphere kernels go through sphere_fd_b
 central finite differences with one Richardson extrapolation level in
 normal coordinates, applied to any elementwise profile of t = <x, y>,
 with the stencil points of both steps and every row in one call of the
-profile on the distinct t.  The scalar entry points are one-row calls of
-these.
+profile on the distinct t.  projector_kernel_deriv turns offset rows
+(x0, us, vs) into a call of either for both models; rescaled_kernel is a
+one-row call of it.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .models import (
     SphereModel,
     SpectralWindow,
     TorusModel,
+    distance,
     exp_map,
     sphere_clusters,
     torus_modes,
@@ -231,6 +233,7 @@ def sphere_fd_batch(model: SphereModel, xu, xv, profile, us, vs,
 
 def projector_kernel(model: Model, window: SpectralWindow, x, y) -> float:
     """Projector kernel E_window(x, y) by exact mode summation."""
+    distance(model, x, y)     # refuses mis-shaped and non-unit points
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if isinstance(model, TorusModel):
@@ -242,24 +245,25 @@ def projector_kernel(model: Model, window: SpectralWindow, x, y) -> float:
 
 
 def projector_kernel_deriv(model: Model, window: SpectralWindow, x0,
-                           u, v, order: DerivOrder) -> float:
-    """Derivative of E_window(exp_x0(u), exp_x0(v)) at the given offsets.
+                           us, vs, order: DerivOrder) -> np.ndarray:
+    """Derivatives of E_window(exp_x0(us[i]), exp_x0(vs[i])) per offset row.
 
-    alpha acts on u, beta on v, both in normal coordinates at x0.  This is
-    a one-row call of torus_pair_deriv_batch or sphere_pair_deriv_batch.
+    alpha acts on u, beta on v, both in normal coordinates at x0; the
+    offset rows have shape (rows, dim) and stay below the injectivity
+    radius.  The rows go to torus_pair_deriv_batch (as us - vs) or to
+    sphere_pair_deriv_batch unchanged.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != (model.dim,) or v.shape != (model.dim,):
-        raise ValueError(f"offsets must have shape ({model.dim},)")
+    us = np.asarray(us, dtype=float)
+    vs = np.asarray(vs, dtype=float)
+    if us.ndim != 2 or us.shape[1] != model.dim or vs.shape != us.shape:
+        raise ValueError(f"offsets must be rows of shape (rows, {model.dim})")
     inj = model.injectivity_radius
-    if np.linalg.norm(u) >= inj or np.linalg.norm(v) >= inj:
+    if not (np.all(np.linalg.norm(us, axis=1) < inj)
+            and np.all(np.linalg.norm(vs, axis=1) < inj)):
         raise ValueError("offsets must stay below the injectivity radius")
     if isinstance(model, TorusModel):
-        return float(torus_pair_deriv_batch(model, window, (u - v)[None, :],
-                                            order)[0])
-    return float(sphere_pair_deriv_batch(model, window, x0, u[None, :],
-                                         v[None, :], order)[0])
+        return torus_pair_deriv_batch(model, window, us - vs, order)
+    return sphere_pair_deriv_batch(model, window, x0, us, vs, order)
 
 
 def rescaled_kernel(model: Model, x0, lam: float, delta: float,
@@ -276,8 +280,9 @@ def rescaled_kernel(model: Model, x0, lam: float, delta: float,
     window = SpectralWindow(lam, lam + delta)
     u = np.asarray(u, dtype=float) / lam
     v = np.asarray(v, dtype=float) / lam
-    base = projector_kernel_deriv(model, window, x0, u, v, order)
-    return base * lam ** (-(model.n - 1) - order.omega)
+    base = projector_kernel_deriv(model, window, x0, u[None, :], v[None, :],
+                                  order)[0]
+    return float(base * lam ** (-(model.n - 1) - order.omega))
 
 
 # --------------------------------------------------------------------------

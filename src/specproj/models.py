@@ -118,7 +118,6 @@ class ClusterRecord(NamedTuple):
 class ModeList:
     """Modes of a window: integer vectors on the torus, clusters on the sphere."""
 
-    window: SpectralWindow
     vectors: np.ndarray | None = None      # (count, n) float64, torus only
     clusters: tuple[ClusterRecord, ...] | None = None  # sphere only
 
@@ -234,7 +233,7 @@ def torus_modes(model: TorusModel, window: SpectralWindow) -> ModeList:
                 _fill_runs(vectors[:, i], at, prefixes[owner, i], 0.0)
             _fill_runs(vectors[:, -1], at, first, 1.0)
     vectors.setflags(write=False)
-    return ModeList(window=window, vectors=vectors)
+    return ModeList(vectors=vectors)
 
 
 def lead_sign(rows) -> np.ndarray:
@@ -261,7 +260,7 @@ def sphere_clusters(model: SphereModel, window: SpectralWindow) -> ModeList:
             t = ell * (ell + 1)
             if m_min <= t <= m_max:
                 out.append(ClusterRecord(ell=ell, multiplicity=2 * ell + 1))
-    return ModeList(window=window, clusters=tuple(out))
+    return ModeList(clusters=tuple(out))
 
 
 # --------------------------------------------------------------------------

@@ -6,12 +6,12 @@ For the cumulative window [0, lam] the kernel splits as
 
 and this module measures R and its derivatives on probe grids, then fits
 the growth exponent alpha_hat in sup|R| ~ C * lam^alpha_hat by least
-squares in log-log coordinates.  remainder_batch evaluates R for rows of
-point pairs with the kernels module's derivative mechanism for each model
-(term by term on the torus, sphere_fd_batch on the sphere); the single
-field is a call of it, and a sweep evaluates the same bracket for all its
-lam at once, so that a torus sweep enumerates each mode of its largest
-window once and a sphere sweep runs one Legendre pass.  On the torus the
+squares in log-log coordinates.  remainder_batch, the one evaluator,
+gives R for rows of point pairs and every lam of a non-decreasing
+sequence at once, with the kernels module's derivative mechanism for each
+model (term by term on the torus, sphere_fd_batch on the sphere): a torus
+call enumerates each mode of its largest window once and a sphere call
+runs one Legendre pass.  A sweep is one call of it.  On the torus the
 diagonal remainder is the classical lattice-count error divided by the
 volume, so exact integer counting doubles as an oracle for everything
 here.
@@ -49,17 +49,37 @@ def cluster_lambda(ell: int, offset: float = 0.01) -> float:
     return math.sqrt(ell * (ell + 1.0)) + offset
 
 
-def _check_pairs(model: Model, xs, ys) -> None:
-    # written so that a NaN distance fails the check too
+def remainder_batch(model: Model, xs, ys, lambdas,
+                    order: DerivOrder) -> np.ndarray:
+    """Derivatives of [E_(0,lam] + 1/vol - ball_kernel(n, d, lam)] per row
+    and lam, shape (len(lambdas), rows).
+
+    Rows are point pairs (xs[i], ys[i]) within half the injectivity radius
+    of each other; lambdas are >= 0 and do not decrease.  Both are checked
+    before any window.  The constant mode restores the full cumulative
+    kernel E_[0,lam]; it only contributes at derivative order zero.
+    Derivatives are taken in normal coordinates centered at xs[i] and
+    ys[i]: term by term on the torus, which enumerates every mode of
+    (0, max lam] once, and by sphere_fd_batch with the whole bracket as its
+    profile on the sphere, which runs one Legendre pass to its top degree.
+
+    On the torus the bracket depends only on the separation d = x - y and
+    R(-d) = (-1)^omega R(d), so the rows are folded into classes {d, -d},
+    each class is evaluated once and the values are indexed back, times
+    the row's sign when omega is odd.  The fold is bit-exact wherever
+    numpy's float64 sin is odd and cos even bit for bit (a platform
+    property that the tests check): the mode sum is then odd or even in d
+    bit for bit (see kernels._torus_deriv_sum), and so is
+    ball_kernel_deriv, whose monomials w^e negate exactly.
+    """
+    # written so that a NaN distance or lam fails the check too
     if not np.max(distance(model, xs, ys)) < 0.5 * model.injectivity_radius:
         raise ValueError("x and y must be within half the injectivity radius")
-
-
-def _bracket(model: Model, xs: np.ndarray, ys: np.ndarray, lambdas,
-             order: DerivOrder) -> np.ndarray:
-    """remainder_batch for each lam of an increasing sequence, shape
-    (len(lambdas), rows); the torus enumerates every mode of (0, lam_max]
-    once, and the sphere runs one Legendre pass to its top degree."""
+    lams = np.asarray(lambdas, dtype=float)
+    if not (lams.ndim == 1 and lams.size and np.all(lams >= 0)
+            and np.all(np.diff(lams) >= 0)):
+        raise ValueError("lambdas must be a sequence of values >= 0 that "
+                         "does not decrease")
     n = model.n
     const = 1.0 / model.volume if order.omega == 0 else 0.0
     if isinstance(model, TorusModel):
@@ -95,46 +115,6 @@ def _bracket(model: Model, xs: np.ndarray, ys: np.ndarray, lambdas,
 
     zero = np.zeros(model.dim)
     return sphere_fd_batch(model, xs, ys, bracket, zero, zero, order)
-
-
-def remainder_batch(model: Model, xs: np.ndarray, ys: np.ndarray, lam: float,
-                    order: DerivOrder) -> np.ndarray:
-    """Derivatives of [E_(0,lam] + 1/vol - ball_kernel(n, d, lam)] per row.
-
-    Rows are point pairs (xs[i], ys[i]).  The constant mode restores the
-    full cumulative kernel E_[0,lam]; it only contributes at derivative
-    order zero.  Derivatives are taken in normal coordinates centered at
-    xs[i] and ys[i]: term by term on the torus, by sphere_fd_batch with the
-    whole bracket as its profile on the sphere.  This is the one-lam call
-    of the bracket that remainder_sweep evaluates for all its lam at once.
-
-    On the torus the bracket depends only on the separation d = x - y and
-    R(-d) = (-1)^omega R(d), so the rows are folded into classes {d, -d},
-    each class is evaluated once and the values are indexed back, times
-    the row's sign when omega is odd.  The fold is bit-exact wherever
-    numpy's float64 sin is odd and cos even bit for bit (a platform
-    property that the tests check): the mode sum is then odd or even in d
-    bit for bit (see kernels._torus_deriv_sum), and so is
-    ball_kernel_deriv, whose monomials w^e negate exactly.
-    """
-    return _bracket(model, xs, ys, (lam,), order)[0]
-
-
-def remainder_field(model: Model, x, y, lam: float,
-                    order: DerivOrder | None = None) -> float:
-    """remainder_batch on the one row (x, y).
-
-    x and y must lie within half the injectivity radius of each other.
-    """
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    if order is None:
-        order = DerivOrder.zero(model.dim)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    _check_pairs(model, x, y)
-    return float(remainder_batch(model, x[None, :], y[None, :], lam,
-                                 order)[0])
 
 
 # --------------------------------------------------------------------------
@@ -235,7 +215,7 @@ class RemainderReport:
 def remainder_sweep(model: Model, x0, probe: ProbeGrid, lambdas,
                     order: DerivOrder | None = None) -> RemainderReport:
     """Sup of |remainder_batch| over all ordered probe pairs, per lam, plus
-    the fit.  All lam go through one call of the bracket, so a torus sweep
+    the fit.  All lam go through one remainder_batch call, so a torus sweep
     enumerates each mode of (0, max lam] once; lam must increase strictly,
     which is checked before any window."""
     if order is None:
@@ -247,11 +227,9 @@ def remainder_sweep(model: Model, x0, probe: ProbeGrid, lambdas,
         raise ValueError("lambda samples must be > 0")
     if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
         raise ValueError("lambda samples must be strictly increasing")
-    # every ordered pair of probe points, checked once before any window
     us, vs = probe.pairs(model.dim)
-    xs, ys = exp_map(model, x0, us), exp_map(model, x0, vs)
-    _check_pairs(model, xs, ys)
-    values = _bracket(model, xs, ys, lambdas, order)
+    values = remainder_batch(model, exp_map(model, x0, us),
+                             exp_map(model, x0, vs), lambdas, order)
     sups = tuple(float(s) for s in np.max(np.abs(values), axis=1))
     fit = scaling_exponent_fit(list(zip(lambdas, sups)))
     x0 = np.asarray(x0, dtype=float)

@@ -1,8 +1,9 @@
 """Output writers: CSV, JSONL, and run manifests.
 
 Every write is atomic (temp file in the target directory, then os.replace)
-so a crashed run never leaves a truncated table behind.  Floats are
-rendered with %.17g, which round-trips IEEE doubles exactly.
+so a crashed run never leaves a truncated table behind.  CSV cells other
+than strings are rendered with %.17g, which round-trips IEEE doubles
+exactly and writes bools as 1/0 and ints below 1e17 as str does.
 """
 
 from __future__ import annotations
@@ -15,14 +16,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 FLOAT_FORMAT = "%.17g"
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return FLOAT_FORMAT % value
-    return str(value)
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -57,7 +50,8 @@ def write_csv(path: Path, header: Sequence[str],
     for row in rows:
         if len(row) != width:
             raise ValueError(f"row width {len(row)} != header width {width}")
-        lines.append(",".join(_format_cell(cell) for cell in row))
+        lines.append(",".join([cell if isinstance(cell, str)
+                               else FLOAT_FORMAT % cell for cell in row]))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

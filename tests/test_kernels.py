@@ -125,6 +125,22 @@ class TestProjectorBasics:
         assert projector_kernel(s2, ws, p, p) == pytest.approx(
             21 / (4 * math.pi), rel=1e-12)
 
+    @pytest.mark.parametrize("x, y", [
+        ([0.0, 0.0, 2.0], [0.0, 0.0, 2.0]),
+        ([0.0, 0.0, 1.0], [0.0, 1.2, 1.6]),
+        ([0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0])],
+        ids=["non-unit-pair", "one-non-unit", "4-vectors"])
+    def test_sphere_points_validated(self, x, y):
+        # unchecked, each of these returned a kernel value (the first two
+        # the diagonal one, as t is clipped to 1)
+        with pytest.raises(ValueError, match="sphere point"):
+            projector_kernel(SphereModel(), SpectralWindow(0.0, 12.0), x, y)
+
+    def test_torus_points_validated(self):
+        with pytest.raises(ValueError, match="torus point"):
+            projector_kernel(TorusModel(n=2), SpectralWindow(0.0, 5.0),
+                             [0.1, 0.2, 0.3], [0.1, 0.2, 0.3])
+
     @settings(max_examples=40, deadline=None)
     @given(split=st.floats(0.3, 4.5))
     def test_window_additivity(self, split):
@@ -200,7 +216,8 @@ class TestTorusDerivatives:
                 u = rng.uniform(-0.4, 0.4, 2)
                 v = rng.uniform(-0.4, 0.4, 2)
                 order = DerivOrder(alpha=alpha, beta=beta)
-                got = projector_kernel_deriv(model, window, x0, u, v, order)
+                got = projector_kernel_deriv(model, window, x0, [u], [v],
+                                             order)[0]
                 want = torus_fd_oracle(model, window, x0, u, v, alpha, beta)
                 scale = max(1.0, abs(want))
                 assert got == pytest.approx(want, abs=1e-5 * scale)
@@ -215,7 +232,7 @@ class TestTorusDerivatives:
         v = np.array([-0.15, 0.1, 0.2])
         alpha, beta = (1, 0, 0), (0, 1, 0)
         order = DerivOrder(alpha=alpha, beta=beta)
-        got = projector_kernel_deriv(model, window, x0, u, v, order)
+        got = projector_kernel_deriv(model, window, x0, [u], [v], order)[0]
         want = torus_fd_oracle(model, window, x0, u, v, alpha, beta)
         assert got == pytest.approx(want, abs=1e-5 * max(1.0, abs(want)))
 
@@ -225,8 +242,8 @@ class TestTorusDerivatives:
         x0 = np.array([0.2, 0.4])
         u = np.array([0.3, -0.1])
         v = np.array([0.0, 0.25])
-        got = projector_kernel_deriv(model, window, x0, u, v,
-                                     DerivOrder.zero(2))
+        got = projector_kernel_deriv(model, window, x0, [u], [v],
+                                     DerivOrder.zero(2))[0]
         want = projector_kernel(model, window, exp_map(model, x0, u),
                                 exp_map(model, x0, v))
         assert got == pytest.approx(want, rel=1e-12)
@@ -240,8 +257,57 @@ class TestTorusDerivatives:
         batch = torus_pair_deriv_batch(model, window, diffs, order)
         for i in range(7):
             single = projector_kernel_deriv(model, window, np.zeros(2),
-                                            diffs[i], np.zeros(2), order)
+                                            diffs[i:i + 1], np.zeros((1, 2)),
+                                            order)[0]
             assert batch[i] == pytest.approx(single, rel=1e-12, abs=1e-12)
+
+
+class TestProjectorKernelDeriv:
+    # the batched entry for both models: offset rows (rows, dim) around x0
+    cases = pytest.mark.parametrize("model, x0", [
+        (TorusModel(n=2), np.array([0.2, 0.4])),
+        (SphereModel(), np.array([0.36, -0.48, 0.8]))],
+        ids=["torus2", "sphere"])
+    order = DerivOrder(alpha=(1, 0), beta=(0, 1))
+    window = SpectralWindow(3.0, 9.0)
+
+    @cases
+    def test_rows_are_the_window_evaluators(self, model, x0):
+        us, vs = (np.random.default_rng(4).uniform(-0.4, 0.4, (2, 6, 2)))
+        got = projector_kernel_deriv(model, self.window, x0, us, vs,
+                                     self.order)
+        if isinstance(model, TorusModel):
+            want = torus_pair_deriv_batch(model, self.window, us - vs,
+                                          self.order)
+        else:
+            want = sphere_pair_deriv_batch(model, self.window, x0, us, vs,
+                                           self.order)
+        assert got.shape == (6,)
+        assert np.array_equal(got, want)
+
+    @cases
+    @pytest.mark.parametrize("us, vs", [
+        (np.zeros(2), np.zeros(2)),
+        (np.zeros((3, 3)), np.zeros((3, 3))),
+        (np.zeros((3, 2)), np.zeros((2, 2))),
+        (np.zeros((1, 1, 2)), np.zeros((1, 1, 2)))],
+        ids=["one-offset", "wrong-dim", "unequal-rows", "3-d"])
+    def test_rejects_mis_shaped_rows(self, model, x0, us, vs):
+        with pytest.raises(ValueError, match="rows of shape"):
+            projector_kernel_deriv(model, self.window, x0, us, vs,
+                                   self.order)
+
+    @cases
+    @pytest.mark.parametrize("side", ["u", "v"])
+    def test_rejects_offsets_beyond_injectivity(self, model, x0, side):
+        # one row of three reaches the injectivity radius
+        rows = np.zeros((3, 2))
+        far = rows.copy()
+        far[1] = [model.injectivity_radius, 0.0]
+        us, vs = (far, rows) if side == "u" else (rows, far)
+        with pytest.raises(ValueError, match="injectivity radius"):
+            projector_kernel_deriv(model, self.window, x0, us, vs,
+                                   self.order)
 
 
 class TestTorusCumulative:
@@ -299,8 +365,8 @@ class TestSphereDerivatives:
         window = SpectralWindow(10.0, 11.0)   # exactly l=10
         x0 = np.array([0.0, 0.0, 1.0])
         order = DerivOrder(alpha=(1, 0), beta=(1, 0))
-        got = projector_kernel_deriv(model, window, x0, np.zeros(2),
-                                     np.zeros(2), order)
+        got = projector_kernel_deriv(model, window, x0, np.zeros((1, 2)),
+                                     np.zeros((1, 2)), order)[0]
         want = 21 * 110 / (8 * math.pi)
         assert got == pytest.approx(want, rel=1e-6)
 
@@ -309,9 +375,10 @@ class TestSphereDerivatives:
         window = SpectralWindow(3.0, 7.0)
         x0 = random_sphere_point(np.random.default_rng(9))
         for alpha in [(1, 0), (0, 1)]:
-            got = projector_kernel_deriv(model, window, x0, np.zeros(2),
-                                         np.zeros(2),
-                                         DerivOrder(alpha=alpha, beta=(0, 0)))
+            got = projector_kernel_deriv(model, window, x0, np.zeros((1, 2)),
+                                         np.zeros((1, 2)),
+                                         DerivOrder(alpha=alpha,
+                                                    beta=(0, 0)))[0]
             assert abs(got) < 1e-6
 
     def test_batch_matches_scalar(self):
@@ -324,8 +391,8 @@ class TestSphereDerivatives:
         vs = rng.uniform(-0.3, 0.3, size=(5, 2))
         batch = sphere_pair_deriv_batch(model, window, x0, us, vs, order)
         for i in range(5):
-            single = projector_kernel_deriv(model, window, x0, us[i], vs[i],
-                                            order)
+            single = projector_kernel_deriv(model, window, x0, us[i:i + 1],
+                                            vs[i:i + 1], order)[0]
             assert batch[i] == pytest.approx(single, rel=1e-9, abs=1e-9)
 
 

@@ -34,7 +34,6 @@ from specproj.remainder import (
     ProbeGrid,
     cluster_lambda,
     remainder_batch,
-    remainder_field,
     remainder_sweep,
     scaling_exponent_fit,
 )
@@ -42,12 +41,19 @@ from specproj.remainder import (
 TWO_PI = 2.0 * math.pi
 
 
+def remainder_at(model, x, y, lam, order=None):
+    """remainder_batch on the one row (x, y) and the one lam."""
+    if order is None:
+        order = DerivOrder.zero(model.dim)
+    return float(remainder_batch(model, [x], [y], (lam,), order)[0, 0])
+
+
 class TestRemainderField:
     @pytest.mark.parametrize("lam", [3.0, 5.0, 11.0, 30.0])
     def test_torus_diagonal_counting_identity(self, lam):
         model = TorusModel(n=2)
         x = np.array([0.9, 4.4])
-        got = remainder_field(model, x, x, lam)
+        got = remainder_at(model, x, x, lam)
         # zero mode included via the constant term: N counts it, the mode
         # sum does not, so both sides agree exactly
         want = (counting_function(model, lam)
@@ -58,7 +64,7 @@ class TestRemainderField:
         model = TorusModel(n=3)
         lam = 4.0
         x = np.array([1.0, 2.0, 3.0])
-        got = remainder_field(model, x, x, lam)
+        got = remainder_at(model, x, x, lam)
         want = (counting_function(model, lam)
                 - (4.0 * math.pi / 3.0) * lam ** 3) / TWO_PI ** 3
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
@@ -68,7 +74,7 @@ class TestRemainderField:
         x = np.array([0.0, 0.0, 1.0])
         for ell in (5, 12, 30):
             lam = cluster_lambda(ell)
-            got = remainder_field(model, x, x, lam)
+            got = remainder_at(model, x, x, lam)
             # (L+1)^2 states through cluster L; main term lam^2/(4 pi)
             want = ((ell + 1) ** 2 - lam ** 2) / (4.0 * math.pi)
             assert got == pytest.approx(want, rel=1e-9)
@@ -81,7 +87,7 @@ class TestRemainderField:
         lam = 7.0
         x = np.array([0.3, 1.0])
         y = np.array([0.5, 0.8])
-        got = remainder_field(model, x, y, lam)
+        got = remainder_at(model, x, y, lam)
         want = (projector_kernel(model, SpectralWindow(0.0, lam), x, y)
                 + 1.0 / model.volume
                 - ball_kernel(2, distance(model, x, y), lam))
@@ -95,10 +101,10 @@ class TestRemainderField:
         x0 = np.array([0.4, 2.2])
         h = 1e-5
         order = DerivOrder(alpha=(1, 0), beta=(1, 0))
-        got = remainder_field(model, x0, x0, lam, order)
+        got = remainder_at(model, x0, x0, lam, order)
 
         def field(du, dv):
-            return remainder_field(model,
+            return remainder_at(model,
                                    (x0 + du) % TWO_PI,
                                    (x0 + dv) % TWO_PI, lam)
 
@@ -111,7 +117,7 @@ class TestRemainderField:
         model = SphereModel()
         x = np.array([0.0, 0.0, 1.0])
         order = DerivOrder(alpha=(1, 0), beta=(1, 0))
-        val = remainder_field(model, x, x, cluster_lambda(8), order)
+        val = remainder_at(model, x, x, cluster_lambda(8), order)
         assert math.isfinite(val)
 
     @pytest.mark.parametrize("lam", [cluster_lambda(8), 20.5, 47.3, 120.0])
@@ -141,14 +147,19 @@ class TestRemainderField:
                 f1 /= t * t - 1
                 b1 = -lam ** 3 / TWO_PI * jv(2, lam * d) / (lam * d)
                 want = (f1 + b1 / math.sin(d)) * float(np.dot(e1, y))
-                got = remainder_field(model, x, y, lam, order)
+                got = remainder_at(model, x, y, lam, order)
                 assert got == pytest.approx(want, rel=1e-6)
 
+
+class TestRemainderBatch:
+    model = TorusModel(n=2)
+    xs = np.array([[0.3, 1.0], [0.5, 0.8]])
+
     def test_rejects_far_pairs(self):
-        model = TorusModel(n=2)
         with pytest.raises(ValueError):
-            remainder_field(model, np.zeros(2),
-                            np.array([math.pi - 0.1, math.pi - 0.1]), 5.0)
+            remainder_batch(self.model, np.zeros((1, 2)),
+                            np.array([[math.pi - 0.1, math.pi - 0.1]]),
+                            (5.0,), DerivOrder.zero(2))
 
     @pytest.mark.parametrize("model, x", [
         (TorusModel(n=2), [np.nan, 0.1]),
@@ -158,7 +169,33 @@ class TestRemainderField:
         # a NaN distance compares false with the bound, so the check must
         # be written to fail on it
         with pytest.raises(ValueError, match="half the injectivity radius"):
-            remainder_field(model, x, np.array(x), 5.0)
+            remainder_batch(model, [x], [list(x)], (5.0,),
+                            DerivOrder.zero(model.dim))
+
+    @pytest.mark.parametrize("lams", [
+        (-1.0,), (0.0, -0.5, 3.0), (5.0, 4.0), (2.0, 8.0, 7.9), (np.nan,),
+        (), 5.0], ids=["negative", "negative-later", "decreasing",
+                       "decreasing-later", "nan", "empty", "scalar"])
+    @pytest.mark.parametrize("model", [TorusModel(n=2), SphereModel()],
+                             ids=["torus2", "sphere"])
+    def test_rejects_bad_lambdas_before_any_window(self, monkeypatch, model,
+                                                    lams):
+        def refuse(*args):
+            raise AssertionError("a window was enumerated")
+
+        monkeypatch.setattr(kernels, "torus_modes", refuse)
+        monkeypatch.setattr(remainder, "sphere_clusters", refuse)
+        x0 = np.zeros(2) if isinstance(model, TorusModel) else [0.0, 0.0, 1.0]
+        xs = exp_map(model, x0, self.xs)
+        with pytest.raises(ValueError, match="does not decrease"):
+            remainder_batch(model, xs, xs[::-1], lams,
+                            DerivOrder.zero(2))
+
+    def test_repeated_lambdas_and_zero_accepted(self):
+        got = remainder_batch(self.model, self.xs, self.xs[::-1],
+                              (0.0, 5.0, 5.0, 9.0), DerivOrder.zero(2))
+        assert got.shape == (4, 2)
+        assert np.array_equal(got[1], got[2])
 
 
 FOLD_ORDERS = pytest.mark.parametrize("alpha, beta", [
@@ -185,8 +222,9 @@ class TestTorusFold:
     @pytest.mark.parametrize("lam", [0.0, 23.7])
     def test_batch_bit_equal_to_one_row_calls(self, alpha, beta, lam):
         order = DerivOrder(alpha, beta)
-        batch = remainder_batch(self.model, self.xs, self.ys, lam, order)
-        rows = [remainder_field(self.model, x, y, lam, order)
+        batch = remainder_batch(self.model, self.xs, self.ys, (lam,),
+                                order)[0]
+        rows = [remainder_at(self.model, x, y, lam, order)
                 for x, y in zip(self.xs, self.ys)]
         assert np.array_equal(bits(batch), bits(rows))
 
@@ -203,7 +241,8 @@ class TestTorusFold:
         const = 1.0 / self.model.volume if order.omega == 0 else 0.0
         want = (torus_pair_deriv_batch(self.model, SpectralWindow(0.0, lam),
                                        diffs, order) + const - mains)
-        got = remainder_batch(self.model, self.xs, self.ys, lam, order)
+        got = remainder_batch(self.model, self.xs, self.ys, (lam,),
+                                order)[0]
         assert np.array_equal(bits(got), bits(want))
 
     @FOLD_ORDERS
@@ -217,8 +256,8 @@ class TestTorusFold:
         zero = np.zeros_like(d)
         assert np.array_equal(torus_separation(self.model, -d, zero), -d)
         for lam in (0.0, 9.5, 40.2):
-            plus = remainder_batch(self.model, d, zero, lam, order)
-            minus = remainder_batch(self.model, -d, zero, lam, order)
+            plus = remainder_batch(self.model, d, zero, (lam,), order)[0]
+            minus = remainder_batch(self.model, -d, zero, (lam,), order)[0]
             assert np.array_equal(minus, sign * plus)
 
     @FOLD_ORDERS
@@ -257,7 +296,7 @@ class TestOnePassSweep:
         for lam, sup in zip(lams, report.sups):
             # one cached ball per lam would hold hundreds of MB
             torus_modes.cache_clear()
-            want = abs(remainder_batch(model, x, x, lam, order)[0])
+            want = abs(remainder_batch(model, x, x, (lam,), order)[0, 0])
             assert bits(sup) == bits(want)
 
     @pytest.mark.parametrize("alpha, beta", [
@@ -280,7 +319,8 @@ class TestOnePassSweep:
             bound = (64 * np.finfo(float).eps
                      * np.sum(np.abs(np.prod(k ** gamma, axis=1)))
                      / model.volume)
-            want = np.max(np.abs(remainder_batch(model, xs, ys, lam, order)))
+            want = np.max(np.abs(remainder_batch(model, xs, ys, (lam,),
+                                                  order)))
             assert abs(sup - want) <= bound
 
     @pytest.mark.parametrize("n, lams", [
@@ -337,7 +377,7 @@ class TestSphereOnePassSweep:
         us, vs = probe.pairs(2)
         xs, ys = exp_map(self.model, self.x0, us), exp_map(self.model,
                                                            self.x0, vs)
-        want = [np.max(np.abs(remainder_batch(self.model, xs, ys, lam,
+        want = [np.max(np.abs(remainder_batch(self.model, xs, ys, (lam,),
                                               order))) for lam in lams]
         assert np.array_equal(bits(report.sups), bits(want))
 
@@ -463,7 +503,7 @@ class TestSweep:
         report = remainder_sweep(model, x0, probe, lams, order)
         points = exp_map(model, x0, probe.offsets(2))
         for lam, sup in zip(lams, report.sups):
-            want = max(abs(remainder_field(model, x, y, lam, order))
+            want = max(abs(remainder_at(model, x, y, lam, order))
                        for x in points for y in points)
             assert sup == pytest.approx(want, rel=1e-12)
 
