@@ -24,6 +24,7 @@ from .models import (
     SphereModel,
     SpectralWindow,
     TorusModel,
+    tangent_norm,
 )
 from .loopset import SurfaceSpec
 
@@ -259,6 +260,14 @@ def _check_across(kind: str, values: dict) -> None:
         if not (0.0 < values["probe_radius"] < model.injectivity_radius):
             raise ConfigError("probe_radius must lie in "
                               f"(0, {model.injectivity_radius:g})")
+        if kind in ("kernel", "randomwave") and values["points_per_axis"] > 1:
+            # the grid's farthest offsets are its corners (+-r, ..., +-r)
+            try:
+                tangent_norm(model, [values["probe_radius"]] * model.dim)
+            except ValueError:
+                raise ConfigError(
+                    f"probe_radius * sqrt({model.dim}) must lie below "
+                    f"{model.injectivity_radius:g}") from None
     if "alpha" in values:
         for name in ("alpha", "beta"):
             if len(values[name]) != model.dim:

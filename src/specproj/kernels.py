@@ -48,6 +48,7 @@ from .models import (
     distance,
     exp_map,
     sphere_clusters,
+    tangent_norm,
     torus_modes,
 )
 from .special import (
@@ -257,10 +258,8 @@ def projector_kernel_deriv(model: Model, window: SpectralWindow, x0,
     vs = np.asarray(vs, dtype=float)
     if us.ndim != 2 or us.shape[1] != model.dim or vs.shape != us.shape:
         raise ValueError(f"offsets must be rows of shape (rows, {model.dim})")
-    inj = model.injectivity_radius
-    if not (np.all(np.linalg.norm(us, axis=1) < inj)
-            and np.all(np.linalg.norm(vs, axis=1) < inj)):
-        raise ValueError("offsets must stay below the injectivity radius")
+    tangent_norm(model, us)
+    tangent_norm(model, vs)
     if isinstance(model, TorusModel):
         return torus_pair_deriv_batch(model, window, us - vs, order)
     return sphere_pair_deriv_batch(model, window, x0, us, vs, order)

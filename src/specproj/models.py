@@ -306,6 +306,22 @@ def tangent_frame(x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
+def tangent_norm(model: Model, u) -> np.ndarray:
+    """Norms of tangent vectors u (..., dim), which must be below the
+    injectivity radius (NaN is not).
+
+    The one such check: exp_map, the kernel's offset rows and the config's
+    probe grids all go through it, so they agree to the last bit.
+    """
+    r = _norm(np.asarray(u, dtype=float))
+    if not np.all(r < model.injectivity_radius):
+        raise ValueError(
+            f"|u|={float(np.max(r))} is not below the injectivity radius "
+            f"{model.injectivity_radius}"
+        )
+    return r
+
+
 def exp_map(model: Model, x0, u) -> np.ndarray:
     """Exponential map at x0 applied to tangent vectors u (..., dim).
 
@@ -319,12 +335,7 @@ def exp_map(model: Model, x0, u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape[-1:] != (model.dim,):
         raise ValueError(f"tangent vector must have shape (..., {model.dim})")
-    r = _norm(u)
-    if np.any(r >= model.injectivity_radius):
-        raise ValueError(
-            f"|u|={float(np.max(r))} is not below the injectivity radius "
-            f"{model.injectivity_radius}"
-        )
+    r = tangent_norm(model, u)
     if isinstance(model, TorusModel):
         return np.mod(x0 + u, TWO_PI)
     e1, e2 = tangent_frame(x0)

@@ -132,11 +132,14 @@ class ExponentFit:
 def scaling_exponent_fit(samples) -> ExponentFit:
     """Least-squares fit of log(value) against log(lam).
 
-    Zero values are dropped (their count is recorded); at least four
-    positive samples with strictly increasing lam must remain.
+    Every lam and value must be finite.  Zero values are dropped (their
+    count is recorded); at least four positive samples with strictly
+    increasing lam must remain.
     """
     lams = np.array([s[0] for s in samples], dtype=float)
     vals = np.array([s[1] for s in samples], dtype=float)
+    if not (np.all(np.isfinite(lams)) and np.all(np.isfinite(vals))):
+        raise ValueError("lam samples and values must be finite")
     if np.any(np.diff(lams) <= 0):
         raise ValueError("lam samples must be strictly increasing")
     if np.any(vals < 0):

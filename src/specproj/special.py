@@ -2,15 +2,16 @@
 
 Bessel J of integer and half-integer order, Legendre polynomials with
 derivatives, and product quadrature rules on the unit circle and sphere.
-Everything here is scalar-exact and deliberately simple: ascending series
-below the switch point x = 12, large-argument expansions above it, and
-three-term recurrences for Legendre.  Accuracy target is 1e-10 relative
-away from zeros of the functions, for x up to 1e4.  bessel_j_scaled also
-takes an array, with the float path's values element by element.
+Everything here is deliberately simple: ascending series below the switch
+point x = 12, large-argument expansions above it, and three-term
+recurrences for Legendre.  Accuracy target is 1e-10 relative away from
+zeros of the functions, for x up to 1e4.  The Bessel functions run on
+arrays, a float as a 0-d array.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,69 +31,22 @@ def _as_half_integer(order) -> Fraction:
     return nu
 
 
-def _recur_up(j_prev, j, order: float, nu: float, x):
+def _recur_up(j_prev, j, order: float, nu: float, x: np.ndarray):
     # upward recurrence J_{o+1} = (2o/x) J_o - J_{o-1} from order o up to
-    # nu, on floats and arrays alike; forward-stable because x > 12 > nu
+    # nu; forward-stable because x > 12 > nu
     while order < nu - 1e-12:
         j, j_prev = (2.0 * order / x) * j - j_prev, j
         order += 1.0
     return j
 
 
-def _half_order_closed(nu: float, x, xp=math):
-    # upward recurrence from the elementary J_{-1/2}, J_{1/2}; xp is math
-    # for a float x and numpy for an array
-    amp = xp.sqrt(2.0 / (xp.pi * x))
-    return _recur_up(amp * xp.cos(x), amp * xp.sin(x), 0.5, nu, x)
-
-
-def _hankel_asymptotic(p: int, x: float) -> float:
+def _hankel_asymptotic(p: int, x: np.ndarray) -> np.ndarray:
     # J_p(x) ~ sqrt(2/(pi x)) [P cos(chi) - Q sin(chi)], chi = x-(2p+1)pi/4,
-    # with P, Q the standard inverse-power series; truncated at the smallest
-    # term.  Only called with p in {0, 1}, where the smallest term is far
-    # below 1e-13 for x > 12; higher integer orders go through the upward
-    # recurrence instead because their expansions stall near x ~ p^2/2.
-    mu = 4.0 * p * p
-    chi = x - (0.5 * p + 0.25) * math.pi
-    term = 1.0
-    p_sum = 1.0
-    q_sum = 0.0
-    prev = abs(term)
-    for k in range(1, 40):
-        term *= (mu - (2 * k - 1) ** 2) / (8.0 * k * x)
-        if abs(term) > prev or abs(term) < 1e-18:
-            break
-        prev = abs(term)
-        if k % 2 == 1:
-            q_sum += term if (k - 1) % 4 == 0 else -term
-        else:
-            p_sum += -term if (k - 2) % 4 == 0 else term
-    return math.sqrt(2.0 / (math.pi * x)) * (p_sum * math.cos(chi) - q_sum * math.sin(chi))
-
-
-def bessel_j(order, x: float) -> float:
-    """Bessel function of the first kind, order in {0, 1/2, 1, ..., 6}."""
-    nu = _as_half_integer(order)
-    if not math.isfinite(x):
-        raise ValueError("x must be finite")
-    if x < 0.0:
-        raise ValueError("x must be >= 0")
-    if x == 0.0:
-        return 1.0 if nu == 0 else 0.0
-    if x <= _SERIES_SWITCH:
-        return x ** float(nu) * bessel_j_scaled(order, x)
-    if nu.denominator == 2:
-        return _half_order_closed(float(nu), x)
-    # integer orders: two asymptotic seeds, then upward recurrence
-    j_prev = _hankel_asymptotic(0, x)
-    if nu == 0:
-        return j_prev
-    return _recur_up(j_prev, _hankel_asymptotic(1, x), 1.0, float(nu), x)
-
-
-def _hankel_asymptotic_array(p: int, x: np.ndarray) -> np.ndarray:
-    # _hankel_asymptotic on an array: each element takes the terms that
-    # the float path takes for it and stops where that path breaks
+    # with P, Q the standard inverse-power series; each element stops at
+    # its smallest term.  Only called with p in {0, 1}, where the smallest
+    # term is far below 1e-13 for x > 12; higher integer orders go through
+    # the upward recurrence instead because their expansions stall near
+    # x ~ p^2/2.
     mu = 4.0 * p * p
     chi = x - (0.5 * p + 0.25) * math.pi
     term = np.ones(x.shape)
@@ -115,9 +69,9 @@ def _hankel_asymptotic_array(p: int, x: np.ndarray) -> np.ndarray:
                                          - q_sum * np.sin(chi))
 
 
-def _series_array(nu: float, z: np.ndarray) -> np.ndarray:
-    # the ascending series of bessel_j_scaled on an array, each element
-    # stopping at the term where the float path stops
+def _series(nu: float, z: np.ndarray) -> np.ndarray:
+    # the ascending series of J_nu(z) / z^nu; each element stops after the
+    # first term below 1e-17 of its sum once m > z/2
     term = np.full(z.shape, 1.0 / (2.0 ** nu * math.gamma(nu + 1.0)))
     total = term.copy()
     q = 0.25 * z * z
@@ -132,49 +86,40 @@ def _series_array(nu: float, z: np.ndarray) -> np.ndarray:
     return total
 
 
+def bessel_j(order, x):
+    """Bessel function of the first kind, order in {0, 1/2, 1, ..., 6}."""
+    return bessel_j_scaled(order, x) * np.float_power(x, float(order))
+
+
 def bessel_j_scaled(order, z):
     """The entire function J_nu(z) / z^nu, finite at z = 0.
 
     This is the natural radial profile of Fourier transforms of sphere
     measures; evaluating it directly avoids 0/0 at the origin.  z is a
-    float or an ndarray.  An array runs each branch once over the elements
-    that take it (the series for z <= 12, the Hankel seeds and the upward
-    recurrence, or the half-order closed form) with the float path's
-    per-element stopping rules, so it returns the float path's values; they
-    are bit-equal where numpy's float64 cos and sin round as the C
-    library's do, and z^nu is taken with np.float_power, which calls the C
-    library's pow as the float path does.
+    float or an ndarray of finite values >= 0; a float runs as a 0-d array
+    and gives a float.  Each branch runs once over the elements that take
+    it: the series for z <= 12, and above 12 the half-order closed form or
+    the Hankel seeds and the upward recurrence, divided by z^nu (taken
+    with np.float_power, the C library's pow).
     """
     nu = float(_as_half_integer(order))
-    if np.ndim(z):
-        z = np.asarray(z, dtype=float)
-        if np.any(z < 0.0) or np.any(z == math.inf):
-            raise ValueError("z must be finite and >= 0")
-        out = np.empty(z.shape)
-        small = z <= _SERIES_SWITCH
-        out[small] = _series_array(nu, z[small])
-        x = z[~small]
-        if nu % 1:
-            j = _half_order_closed(nu, x, np)
-        else:
-            j = _hankel_asymptotic_array(0, x)
-            if nu:
-                j = _recur_up(j, _hankel_asymptotic_array(1, x), 1.0, nu, x)
-        out[~small] = j / np.float_power(x, nu)
-        return out
-    if z < 0.0:
-        raise ValueError("z must be >= 0")
-    if z > _SERIES_SWITCH:
-        return bessel_j(order, z) / z ** nu
-    term = 1.0 / (2.0 ** nu * math.gamma(nu + 1.0))
-    total = term
-    q = 0.25 * z * z
-    for m in range(1, 400):
-        term *= -q / (m * (nu + m))
-        total += term
-        if abs(term) < 1e-17 * (abs(total) + 1e-300) and m > 0.5 * z:
-            break
-    return total
+    values = np.asarray(z, dtype=float)
+    if not np.all((values >= 0.0) & (values < math.inf)):
+        raise ValueError("z must be finite and >= 0")
+    out = np.empty(values.shape)
+    small = values <= _SERIES_SWITCH
+    out[small] = _series(nu, values[small])
+    x = values[~small]
+    if nu % 1:
+        # upward from the elementary J_{-1/2}, J_{1/2}
+        amp = np.sqrt(2.0 / (np.pi * x))
+        j = _recur_up(amp * np.cos(x), amp * np.sin(x), 0.5, nu, x)
+    else:
+        j = _hankel_asymptotic(0, x)
+        if nu:
+            j = _recur_up(j, _hankel_asymptotic(1, x), 1.0, nu, x)
+    out[~small] = j / np.float_power(x, nu)
+    return out if values.ndim else float(out)
 
 
 def legendre_p(ell: int, t: float) -> tuple[float, float]:
@@ -186,7 +131,7 @@ def legendre_p(ell: int, t: float) -> tuple[float, float]:
     """
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    if abs(t) > 1.0 + 1e-12:
+    if not abs(t) <= 1.0 + 1e-12:
         raise ValueError(f"t={t} outside [-1, 1]")
     t = min(1.0, max(-1.0, t))
     if ell == 0:
@@ -217,7 +162,7 @@ def legendre_weighted_sum(coeffs: np.ndarray, t: np.ndarray,
     """
     coeffs = np.asarray(coeffs, dtype=float)
     t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > 1.0 + 1e-12):
+    if not np.all(np.abs(t) <= 1.0 + 1e-12):
         raise ValueError("t outside [-1, 1]")
     t = np.clip(t, -1.0, 1.0)
     wanted = [coeffs.size - 1] if tops is None else [int(k) for k in tops]
@@ -305,38 +250,53 @@ def sphere_quadrature(n: int, degree: int) -> SphereQuadrature:
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-11,
                      min_panels: int = 8, max_depth: int = 40) -> float:
-    """Adaptive Simpson integration of f over [a, b].
+    """Adaptive Simpson integration of a vectorized f over [a, b].
 
     The interval is pre-split into min_panels panels (callers raise this for
-    oscillatory integrands) and each panel is refined recursively until the
-    standard 15x Richardson estimate meets its share of the tolerance.
+    oscillatory integrands) and each panel is halved until the standard 15x
+    Richardson estimate meets its share of the tolerance, which halves with
+    every level.  The refinement runs level by level: f is called once on
+    the edges and midpoints of the panels, then once per level on an array
+    of the new abscissae, at most max_depth + 2 calls.  Every accepted
+    interval's estimate, and the order in which the estimates are added, are
+    the depth-first recursion's, so the result is the recursion's.
     """
     if b < a:
         raise ValueError("need b >= a")
     if b == a:
         return 0.0
-
-    def simpson(x0, f0, x2, f2):
-        x1 = 0.5 * (x0 + x2)
-        f1 = f(x1)
-        return x1, f1, (x2 - x0) * (f0 + 4.0 * f1 + f2) / 6.0
-
-    def refine(x0, f0, x2, f2, whole_mid, whole_fmid, whole, tol_here, depth):
-        lm, lf, left = simpson(x0, f0, whole_mid, whole_fmid)
-        rm, rf, right = simpson(whole_mid, whole_fmid, x2, f2)
-        err = left + right - whole
-        if abs(err) <= 15.0 * tol_here or depth >= max_depth:
-            return left + right + err / 15.0
-        return (refine(x0, f0, whole_mid, whole_fmid, lm, lf, left,
-                       0.5 * tol_here, depth + 1)
-                + refine(whole_mid, whole_fmid, x2, f2, rm, rf, right,
-                         0.5 * tol_here, depth + 1))
-
     edges = np.linspace(a, b, min_panels + 1)
+    x0, x2 = edges[:-1], edges[1:]
+    mid = 0.5 * (x0 + x2)
+    f_edges, fmid = np.split(f(np.concatenate([edges, mid])), [edges.size])
+    f0, f2 = f_edges[:-1], f_edges[1:]
+    whole = (x2 - x0) * (f0 + 4.0 * fmid + f2) / 6.0
+    tol_here = tol / min_panels
+    levels = []
+    for depth in itertools.count():
+        lm, rm = 0.5 * (x0 + mid), 0.5 * (mid + x2)
+        lf, rf = np.split(f(np.concatenate([lm, rm])), 2)
+        left = (mid - x0) * (f0 + 4.0 * lf + fmid) / 6.0
+        right = (x2 - mid) * (fmid + 4.0 * rf + f2) / 6.0
+        err = left + right - whole
+        done = (np.abs(err) <= 15.0 * tol_here) | (depth >= max_depth)
+        levels.append((done, left + right + err / 15.0))
+        if done.all():
+            break
+        # the open intervals' halves, all left halves first, are the next
+        # level's intervals
+        x0, mid, x2, f0, fmid, f2, whole = np.concatenate(
+            [np.array([x0, lm, mid, f0, lf, fmid, left])[:, ~done],
+             np.array([mid, rm, x2, fmid, rf, f2, right])[:, ~done]], axis=1)
+        tol_here *= 0.5
+    # add up as the recursion does: an open interval's value is its left
+    # half's plus its right half's, and the panels add in order
+    value = levels[-1][1]
+    for done, estimate in reversed(levels[:-1]):
+        half = value.size // 2
+        estimate[~done] = value[:half] + value[half:]
+        value = estimate
     total = 0.0
-    for x0, x2 in zip(edges[:-1], edges[1:]):
-        f0, f2 = f(x0), f(x2)
-        mid, fmid, whole = simpson(x0, f0, x2, f2)
-        total += refine(x0, f0, x2, f2, mid, fmid, whole,
-                        tol / min_panels, 0)
+    for panel in value.tolist():
+        total += panel
     return total

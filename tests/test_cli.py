@@ -16,7 +16,8 @@ from specproj.config import (
     config_as_text,
     load_config,
 )
-from specproj.models import SphereModel, TorusModel
+from specproj.models import SphereModel, TorusModel, exp_map
+from specproj.remainder import ProbeGrid
 
 
 def write_config(tmp_path, name, text):
@@ -125,6 +126,28 @@ class TestConfigParsing:
         assert isinstance(config.model, TorusModel)
         cfg2 = write_config(tmp_path, "m2.cfg", KERNEL_CFG)
         assert isinstance(load_config(cfg2, "kernel").model, SphereModel)
+
+
+PROBE_GRID_CASES = [("kernel", "sphere2"), ("kernel", "torus2"),
+                    ("kernel", "torus3"), ("randomwave", "torus2"),
+                    ("randomwave", "sphere2")]
+
+
+def probe_grid_config(kind, model, radius, points):
+    """A kernel or randomwave config on `model` with the given probe grid."""
+    base = KERNEL_CFG if kind == "kernel" else RANDOMWAVE_CFG
+    lines = [line for line in base.strip().splitlines()
+             if not line.startswith(("model", "x0", "alpha", "beta",
+                                     "probe_radius", "points_per_axis"))]
+    dim = 3 if model == "torus3" else 2
+    x0 = "0.0,0.0,1.0" if model == "sphere2" else ",".join(["0.0"] * dim)
+    lines += [f"model = {model}", f"x0 = {x0}",
+              f"probe_radius = {float(radius)!r}",
+              f"points_per_axis = {points}"]
+    if kind == "kernel":
+        lines += ["alpha = " + ":".join(["0"] * dim),
+                  "beta = " + ":".join(["0"] * dim)]
+    return "\n".join(lines) + "\n"
 
 
 class TestExitStatuses:
@@ -239,6 +262,56 @@ class TestExitStatuses:
         assert capsys.readouterr().err.startswith(
             "error kind=validation msg=")
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind,model", PROBE_GRID_CASES)
+    def test_oversized_probe_grid_refused_at_load(self, tmp_path, capsys,
+                                                  kind, model):
+        # r = 3 < pi, but the grid's corner (3, 3) lies at 3 sqrt(2) > pi
+        cfg = write_config(tmp_path, "p.cfg",
+                           probe_grid_config(kind, model, 3.0, 2))
+        with pytest.raises(ConfigError, match=r"probe_radius \* sqrt"):
+            load_config(cfg, kind)
+        out = tmp_path / "out"
+        assert main([kind, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error kind=validation msg=")
+        assert not out.exists()
+        # a one-point grid is the base point alone
+        cfg = write_config(tmp_path, "one.cfg",
+                           probe_grid_config(kind, model, 3.0, 1))
+        assert load_config(cfg, kind).probe_radius == 3.0
+
+    @pytest.mark.parametrize("kind,model", PROBE_GRID_CASES)
+    def test_probe_grid_check_agrees_with_run(self, tmp_path, capsys, kind,
+                                              model):
+        # find the last radius whose 2-point grid exp_map still takes
+        # (the run's check); the config takes it and refuses the next float
+        config = load_config(write_config(
+            tmp_path, "m.cfg", probe_grid_config(kind, model, 0.1, 2)), kind)
+        dim = config.model.dim
+        radius = math.pi / math.sqrt(dim)
+        for _ in range(8):
+            radius = np.nextafter(radius, 0.0)
+        taken = []
+        for _ in range(16):
+            offsets = ProbeGrid(radius, 2).offsets(dim)
+            try:
+                exp_map(config.model, config.x0, offsets)
+            except ValueError:
+                break
+            taken.append(radius)
+            radius = np.nextafter(radius, np.inf)
+        assert 0 < len(taken) < 16
+        last = taken[-1]
+        cfg = write_config(tmp_path, "hi.cfg",
+                           probe_grid_config(kind, model, radius, 2))
+        with pytest.raises(ConfigError, match="probe_radius"):
+            load_config(cfg, kind)
+        cfg = write_config(tmp_path, "lo.cfg",
+                           probe_grid_config(kind, model, last, 2))
+        assert load_config(cfg, kind).probe_radius == last
+        assert main([kind, "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 0
 
     def test_readme_example_loads(self, tmp_path):
         readme = Path(__file__).resolve().parent.parent / "README.md"

@@ -574,6 +574,13 @@ class TestBallKernel:
         with pytest.raises(ValueError):
             ball_kernel(n, np.array([0.1, -0.1]), 25.0)
 
+    @pytest.mark.parametrize("d, lam", [
+        (0.3, math.nan), (math.nan, 10.0), (np.array([0.1, math.nan]), 10.0),
+        (0.3, math.inf)])
+    def test_rejects_nan_and_infinite(self, d, lam):
+        with pytest.raises(ValueError, match="finite"):
+            ball_kernel(2, d, lam)
+
     @pytest.mark.parametrize("gamma", [(1, 0), (2, 1), (3, 0), (1, 3), (0, 4)])
     def test_deriv_rows_equal_one_row_calls(self, gamma):
         # rows of w give the one-point values bit for bit, and -w gives
@@ -619,6 +626,11 @@ class TestLimitKernel:
             want3 = float(ssp.jv(0.5, r)) / math.sqrt(r) / TWO_PI ** 1.5
             assert limit_kernel_closed_form(3, r) == pytest.approx(
                 want3, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_closed_form_rejects_nan(self, n):
+        with pytest.raises(ValueError, match="finite"):
+            limit_kernel_closed_form(n, math.nan)
 
     def test_derivative_vs_fd(self):
         # quadrature-path derivatives against FD of the order-zero kernel

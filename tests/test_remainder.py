@@ -435,6 +435,16 @@ class TestExponentFit:
             scaling_exponent_fit(((2.0, 1.0), (1.0, 2.0), (3.0, 3.0),
                                   (4.0, 4.0)))   # not increasing
 
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_rejected(self, column, bad):
+        # a NaN value used to count as a dropped zero, and a NaN lam
+        # reached the least-squares solver
+        samples = [[lam, lam ** 2] for lam in (1.0, 2.0, 4.0, 8.0, 16.0)]
+        samples[2][column] = bad
+        with pytest.raises(ValueError, match="finite"):
+            scaling_exponent_fit(samples)
+
     def test_residual_reports_max_log_deviation(self):
         lams = (1.0, 2.0, 4.0, 8.0)
         vals = [lam ** 2 for lam in lams]
