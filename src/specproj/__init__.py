@@ -16,7 +16,6 @@ from .kernels import (
     limit_kernel_closed_form,
     multi_indices,
     projector_kernel,
-    rescaled_kernel,
     torus_pair_deriv_batch,
 )
 from .remainder import (
@@ -51,7 +50,6 @@ __all__ = [
     "multi_indices",
     "projector_kernel",
     "remainder_sweep",
-    "rescaled_kernel",
     "sample_ensemble",
     "scaling_exponent_fit",
     "torus_pair_deriv_batch",

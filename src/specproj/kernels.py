@@ -18,16 +18,13 @@ whose radial profile is an elementary Bessel function.  The volume term of
 the cumulative kernel (ball_kernel) has both a Bessel closed form and an
 independent adaptive-quadrature route; both are kept on purpose.
 
-Derivatives: one mechanism and one batched evaluator per model.  Torus
-kernels are differentiated term by term (exact trig factors) in
-torus_pair_deriv_batch, and torus_cumulative_batch runs the same sums over
-the nested windows of a cumulative sweep.  Sphere kernels go through sphere_fd_batch:
-central finite differences with one Richardson extrapolation level in
-normal coordinates, applied to any elementwise profile of t = <x, y>,
-with the stencil points of both steps and every row in one call of the
-profile on the distinct t.  projector_kernel_deriv turns offset rows
-(x0, us, vs) into a call of either for both models; rescaled_kernel is a
-one-row call of it.
+Derivatives: one exact mechanism and one batched evaluator per model.
+Torus kernels are differentiated term by term (exact trig factors) in
+torus_pair_deriv_batch; torus_cumulative_batch runs the same sums over the
+nested windows of a cumulative sweep.  sphere_deriv_batch composes the
+t-derivatives of a profile of t = <x, y> with closed-form jets of the
+exponential map by Faa di Bruno's formula.  projector_kernel_deriv turns
+offset rows (x0, us, vs) into a call of either for both models.
 """
 
 from __future__ import annotations
@@ -48,6 +45,7 @@ from .models import (
     distance,
     exp_map,
     sphere_clusters,
+    tangent_frame,
     tangent_norm,
     torus_modes,
 )
@@ -61,7 +59,6 @@ from .special import (
 
 TWO_PI = 2.0 * math.pi
 MAX_DERIV_ORDER = 4
-FD_STEP = 1e-4
 
 # chunk size (in floats) for mode-by-pair phase matrices
 _CHUNK_BUDGET = 4_000_000
@@ -163,69 +160,92 @@ def sphere_coeffs(modes: ModeList) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# finite differences (sphere derivatives)
+# exact sphere derivatives
 # --------------------------------------------------------------------------
 
-_STENCILS = {
-    0: ((0, 1.0),),
-    1: ((-1, -0.5), (1, 0.5)),
-    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
-    3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
-    4: ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)),
-}
+def faa_di_bruno(outer, inner, count: int):
+    """Derivative of F(g) in count >= 1 slots by Faa di Bruno's formula:
+    the sum over the set partitions of the slots of outer[j] = F^(j)(g),
+    j the number of blocks, times inner(block), the derivative of g in the
+    block's slots, for every block.  Arrays broadcast."""
+    partitions = [()]
+    for slot in range(count):
+        # the slot joins each block of a partition of the earlier slots in
+        # turn, or opens a block of its own
+        grown = []
+        for p in partitions:
+            grown += [p[:i] + (block + (slot,),) + p[i + 1:]
+                      for i, block in enumerate(p)]
+            grown.append(p + ((slot,),))
+        partitions = grown
+    total = 0.0
+    for partition in partitions:
+        term = outer[len(partition)]
+        for block in partition:
+            term = term * inner(block)
+        total = total + term
+    return total
 
 
-@lru_cache(maxsize=256)
-def _tensor_stencil(alpha: tuple[int, ...], beta: tuple[int, ...]):
-    """Tensor-product central stencil: coefficients and the offsets du, dv
-    of its points, shape (points, 1, dim).
+def _exp_map_jets(x0, u, point, top: tuple[int, ...]) -> dict:
+    """d^a exp_x0(u) for every multi-index a <= top, keyed by a; a = 0 is
+    the point.  exp_x0(u) = g0 x0 + g1 (u1 e1 + u2 e2), where the rungs
+    g_m = sqrt(pi/2) J_(m-1/2)(r) / r^(m-1/2) of |u|^2 = r^2 give g0 = cos r
+    and g1 = sin r / r.  So d^a g0 is the ball kernel's radial ladder, and
+    u_i g1 = -d_i g0 moves one order onto u_i."""
+    x0 = np.asarray(x0, dtype=float)
+    x0 = x0 / np.linalg.norm(x0, axis=-1, keepdims=True)
+    r = np.linalg.norm(u, axis=-1)
+    rungs = [None] + [math.sqrt(0.5 * math.pi) * bessel_j_scaled(m - 0.5, r)
+                      for m in range(1, sum(top) + 2)]
 
-    Coefficients are for step h = 1; the caller divides by h^omega.
-    """
-    taps = list(itertools.product(*(_STENCILS[o] for o in alpha + beta)))
-    coeffs = np.array([math.prod(w for _, w in row) for row in taps])
-    steps = np.array([[s for s, _ in row] for row in taps],
-                     dtype=float)[:, None, :]
-    return coeffs, steps[..., :len(alpha)], steps[..., len(alpha):]
+    def radial(gamma):
+        return np.asarray(_radial_ladder(gamma, np.moveaxis(u, -1, 0),
+                                         lambda m: rungs[m]))[..., None]
+
+    frame = tangent_frame(x0)
+    jets = {(0,) * len(top): point}
+    for a in itertools.product(*(range(k + 1) for k in top)):
+        if any(a):
+            jets[a] = radial(a) * x0 - sum(
+                radial(tuple(k + (i == axis) for i, k in enumerate(a))) * e
+                for axis, e in enumerate(frame))
+    return jets
 
 
-def sphere_fd_batch(model: SphereModel, xu, xv, profile, us, vs,
-                    order: DerivOrder) -> np.ndarray:
-    """Derivatives of profile(<exp_xu(u), exp_xv(v)>) at offset rows us, vs.
+def sphere_deriv_batch(model: SphereModel, xu, xv, profile, us, vs,
+                       order: DerivOrder) -> np.ndarray:
+    """Derivatives of F(<exp_xu(u), exp_xv(v)>) at offset rows us, vs.
 
     xu and xv are base points, one for all rows or one per row; alpha acts
-    on u and beta on v in their normal coordinates.  Orders above zero use
-    central differences (step FD_STEP, one Richardson level): the stencil
-    points of both steps and every row go through one pair of exp_map
-    calls and one profile call on the distinct values of t.  So a profile
-    must be elementwise in t, giving equal values at equal t whatever else
-    its argument holds.  It returns the shape of its argument, or one
-    leading axis more (one row per window, say), and then so does this.
+    on u and beta on v in their normal coordinates.  profile(t, k), which
+    must be elementwise in t, returns F^(j)(t) for j = 0..k along a leading
+    axis, and may hold one more (one row per window, say), as then does the
+    result; it runs once, on the distinct t of one pair of exp_map calls.
+    t is bilinear, so in faa_di_bruno a block of slots taking a from u and
+    b from v contributes <d^a X, d^b Y>, and the result is exact.
     """
     us = np.asarray(us, dtype=float)
     vs = np.asarray(vs, dtype=float)
-    u, v = us, vs
-    if order.omega:
-        coeffs, du, dv = _tensor_stencil(order.alpha, order.beta)
-        steps = np.array([0.5 * FD_STEP, FD_STEP])[:, None, None, None]
-        u, v = us + steps * du, vs + steps * dv
-    t = np.sum(exp_map(model, xu, u) * exp_map(model, xv, v), axis=-1)
+    points = exp_map(model, xu, us), exp_map(model, xv, vs)
+    t = np.sum(points[0] * points[1], axis=-1)
     distinct, inverse = np.unique(np.clip(t, -1.0, 1.0), return_inverse=True)
-    # take keeps the values C-contiguous, so each (stencil, rows) block
-    # meets BLAS in the layout of a one-step sweep, and rounds as it did
-    vals = profile(distinct).take(inverse.reshape(t.shape), axis=-1)
+    vals = profile(distinct, order.omega).take(inverse.reshape(t.shape),
+                                               axis=-1)
     if not order.omega:
-        return vals
+        return vals[0]
+    jets_u = _exp_map_jets(xu, us, points[0], order.alpha)
+    jets_v = _exp_map_jets(xv, vs, points[1], order.beta)
+    # one row per slot: the unit multi-index (on u, then on v) it adds
+    slots = np.repeat(np.eye(2 * model.dim, dtype=int),
+                      order.alpha + order.beta, axis=0)
 
-    def combine(pair):
-        # (2, stencil, rows) values, combined along the stencil axis
-        small, big = ((coeffs @ part) / step ** order.omega
-                      for part, step in zip(pair, (0.5 * FD_STEP, FD_STEP)))
-        return (4.0 * small - big) / 3.0
+    def block_product(block):
+        counts = tuple(slots[list(block)].sum(axis=0).tolist())
+        return np.sum(jets_u[counts[:model.dim]] * jets_v[counts[model.dim:]],
+                      axis=-1)
 
-    if vals.ndim == t.ndim:
-        return combine(vals)
-    return np.array([combine(pair) for pair in vals])
+    return faa_di_bruno(vals, block_product, order.omega)
 
 
 # --------------------------------------------------------------------------
@@ -242,7 +262,7 @@ def projector_kernel(model: Model, window: SpectralWindow, x, y) -> float:
                                             DerivOrder.zero(model.n))[0])
     coeffs = sphere_coeffs(sphere_clusters(model, window))
     return float(legendre_weighted_sum(coeffs,
-                                       np.clip(np.sum(x * y), -1.0, 1.0)))
+                                       np.clip(np.sum(x * y), -1.0, 1.0))[0])
 
 
 def projector_kernel_deriv(model: Model, window: SpectralWindow, x0,
@@ -263,25 +283,6 @@ def projector_kernel_deriv(model: Model, window: SpectralWindow, x0,
     if isinstance(model, TorusModel):
         return torus_pair_deriv_batch(model, window, us - vs, order)
     return sphere_pair_deriv_batch(model, window, x0, us, vs, order)
-
-
-def rescaled_kernel(model: Model, x0, lam: float, delta: float,
-                    u, v, order: DerivOrder) -> float:
-    """Derivative of lam^-(n-1) E_(lam, lam+delta](exp(u/lam), exp(v/lam)).
-
-    Differentiation happens after the 1/lam rescaling of the offsets, so a
-    total derivative order omega contributes an extra lam^-omega.
-    """
-    if lam <= 0:
-        raise ValueError("lam must be > 0")
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
-    window = SpectralWindow(lam, lam + delta)
-    u = np.asarray(u, dtype=float) / lam
-    v = np.asarray(v, dtype=float) / lam
-    base = projector_kernel_deriv(model, window, x0, u[None, :], v[None, :],
-                                  order)[0]
-    return float(base * lam ** (-(model.n - 1) - order.omega))
 
 
 # --------------------------------------------------------------------------
@@ -386,8 +387,9 @@ def ball_kernel_quadrature(n: int, d: float, lam: float,
     """
     if n not in (2, 3):
         raise ValueError(f"unsupported dimension n={n}")
-    if lam < 0 or d < 0:
-        raise ValueError("d and lam must be >= 0")
+    # written so that NaN fails the check too
+    if not (0.0 <= d < math.inf and 0.0 <= lam < math.inf):
+        raise ValueError("d and lam must be finite and >= 0")
     if lam == 0.0:
         return 0.0
     nu = 0.5 * (n - 2)
@@ -407,8 +409,8 @@ def _radial_terms(gamma: tuple[int, ...]):
     """Expansion of d^gamma applied to a radial profile g0(|w|^2).
 
     Terms are (exponents, m, coeff) meaning coeff * w^exponents * gm(|w|^2)
-    where each profile satisfies d gm / ds = -(lam/2) g_{m+1}; the (-lam)
-    factor of every m-step is folded in at evaluation time.
+    where the rungs satisfy d gm / ds = -g_{m+1} / 2 for s = |w|^2; the
+    (-1)^m of every m-step is folded in by _radial_ladder.
     """
     dim = len(gamma)
     terms = {((0,) * dim, 0): 1.0}
@@ -429,14 +431,27 @@ def _radial_terms(gamma: tuple[int, ...]):
     return tuple((exps, m, coeff) for (exps, m), coeff in sorted(terms.items()))
 
 
+def _radial_ladder(gamma: tuple[int, ...], columns, rung):
+    """d^gamma of g0(|w|^2) at w, given its coordinate columns and rung(m)
+    = g_m(|w|^2).  The monomials w^e are taken with np.float_power (the C
+    library's pow, as for a float), so they negate exactly with w."""
+    total = 0.0
+    for exps, m, coeff in _radial_terms(gamma):
+        mono = 1.0
+        for column, e in zip(columns, exps):
+            if e:
+                mono = mono * np.float_power(column, e)
+        total = total + coeff * (-1.0) ** m * mono * rung(m)
+    return total
+
+
 def ball_kernel_deriv(n: int, w, lam: float, gamma: tuple[int, ...]):
     """Exact partial derivative d^gamma_w of ball_kernel(n, |w|, lam).
 
     Uses the radial ladder J_nu(lam r)/r^nu whose derivative in r^2 lowers
     to the next order, so every term stays finite on the diagonal w = 0.
     w is one point (n,), giving a float, or rows (rows, n), giving an
-    array.  The monomials w^e are taken with np.float_power (the C
-    library's pow, as for a float), so they negate exactly with w.
+    array; rows -w give (-1)^|gamma| times the values of w exactly.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim not in (1, 2) or w.shape[-1] != n or len(gamma) != n:
@@ -446,15 +461,9 @@ def ball_kernel_deriv(n: int, w, lam: float, gamma: tuple[int, ...]):
     rows = np.atleast_2d(w)
     # stacked products round as np.linalg.norm does on one row
     r = np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
-    total = np.zeros(rows.shape[0])
-    for exps, m, coeff in _radial_terms(tuple(gamma)):
-        mono = 1.0
-        for column, e in zip(rows.T, exps):
-            if e:
-                mono = mono * np.float_power(column, e)
-        profile = lam ** (n + 2 * m) * bessel_j_scaled(0.5 * n + m, lam * r)
-        total += coeff * (-1.0) ** m * mono * profile
-    total *= TWO_PI ** (-0.5 * n)
+    total = _radial_ladder(tuple(gamma), rows.T, lambda m: lam ** (n + 2 * m)
+                           * bessel_j_scaled(0.5 * n + m, lam * r))
+    total = total * TWO_PI ** (-0.5 * n)
     return total if w.ndim == 2 else float(total[0])
 
 
@@ -506,15 +515,13 @@ def torus_pair_deriv_batch(model: TorusModel, window: SpectralWindow,
 def sphere_pair_deriv_batch(model: SphereModel, window: SpectralWindow,
                             x0, us: np.ndarray, vs: np.ndarray,
                             order: DerivOrder) -> np.ndarray:
-    """Sphere kernel derivatives for paired offset rows (us[i], vs[i]).
-
-    sphere_fd_batch with the window's Legendre sum as the profile: all
-    stencil points of all rows share one Legendre sweep.
-    """
+    """Sphere kernel derivatives for paired offset rows (us[i], vs[i]):
+    sphere_deriv_batch on the window's Legendre sum and its t-derivatives,
+    one sweep for all rows."""
     modes = sphere_clusters(model, window)
     if modes.count == 0:
         return np.zeros(np.shape(us)[0])
     coeffs = sphere_coeffs(modes)
-    return sphere_fd_batch(model, x0, x0,
-                           lambda t: legendre_weighted_sum(coeffs, t),
-                           us, vs, order)
+    return sphere_deriv_batch(
+        model, x0, x0, lambda t, k: legendre_weighted_sum(coeffs, t, derivs=k),
+        us, vs, order)

@@ -89,7 +89,7 @@ def _sphere_cluster_factor(ell: int, grid: np.ndarray) -> np.ndarray:
     t = np.clip(grid @ grid.T, -1.0, 1.0)
     coeffs = np.zeros(ell + 1)
     coeffs[ell] = (2 * ell + 1) / (4.0 * math.pi)
-    cov = legendre_weighted_sum(coeffs, t.ravel()).reshape(t.shape)
+    cov = legendre_weighted_sum(coeffs, t)[0]
     cov = 0.5 * (cov + cov.T)
     evals, evecs = np.linalg.eigh(cov)
     evals = np.clip(evals, 0.0, None)

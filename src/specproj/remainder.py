@@ -8,13 +8,13 @@ and this module measures R and its derivatives on probe grids, then fits
 the growth exponent alpha_hat in sup|R| ~ C * lam^alpha_hat by least
 squares in log-log coordinates.  remainder_batch, the one evaluator,
 gives R for rows of point pairs and every lam of a non-decreasing
-sequence at once, with the kernels module's derivative mechanism for each
-model (term by term on the torus, sphere_fd_batch on the sphere): a torus
-call enumerates each mode of its largest window once and a sphere call
-runs one Legendre pass.  A sweep is one call of it.  On the torus the
-diagonal remainder is the classical lattice-count error divided by the
-volume, so exact integer counting doubles as an oracle for everything
-here.
+sequence at once, with the kernels module's exact derivative mechanism
+for each model (term by term on the torus, sphere_deriv_batch on the
+sphere): a torus call enumerates each mode of its largest window once and
+a sphere call runs one Legendre pass.  A sweep is one call of it.  On the
+torus the diagonal remainder is the classical lattice-count error divided
+by the volume, so exact integer counting doubles as an oracle for
+everything here.
 """
 
 from __future__ import annotations
@@ -35,14 +35,16 @@ from .models import (
     torus_separation,
 )
 from .kernels import (
+    TWO_PI,
     DerivOrder,
     ball_kernel,
     ball_kernel_deriv,
+    faa_di_bruno,
     sphere_coeffs,
-    sphere_fd_batch,
+    sphere_deriv_batch,
     torus_cumulative_batch,
 )
-from .special import legendre_weighted_sum
+from .special import bessel_j_scaled, legendre_weighted_sum
 
 def cluster_lambda(ell: int, offset: float = 0.01) -> float:
     """Frequency just above the sphere cluster l (for sampling sweeps)."""
@@ -60,8 +62,9 @@ def remainder_batch(model: Model, xs, ys, lambdas,
     kernel E_[0,lam]; it only contributes at derivative order zero.
     Derivatives are taken in normal coordinates centered at xs[i] and
     ys[i]: term by term on the torus, which enumerates every mode of
-    (0, max lam] once, and by sphere_fd_batch with the whole bracket as its
-    profile on the sphere, which runs one Legendre pass to its top degree.
+    (0, max lam] once, and by sphere_deriv_batch on the sphere, whose
+    profile is the whole bracket with its t-derivatives from one Legendre
+    pass to the top degree.
 
     On the torus the bracket depends only on the separation d = x - y and
     R(-d) = (-1)^omega R(d), so the rows are folded into classes {d, -d},
@@ -104,17 +107,34 @@ def remainder_batch(model: Model, xs, ys, lambdas,
     windows = [sphere_coeffs(sphere_clusters(model, SpectralWindow(0.0, lam)))
                if lam > 0 else np.zeros(0) for lam in lambdas]
 
-    def bracket(t):
+    def bracket(t, k):
         values = legendre_weighted_sum(windows[-1], t,
-                                       [c.size - 1 for c in windows])
+                                       [c.size - 1 for c in windows], k)
         d = np.arccos(t)
-        for row, lam in zip(values, lambdas):
+        for row, lam in zip(values[0], lambdas):
             row += const
             row -= ball_kernel(n, d, lam)
+        if k:
+            # the ball term is b(sigma), sigma = arccos(t)^2, with b^(j) =
+            # (lam^2/2pi)^(n/2) (-lam^2/2)^j J_(n/2+j)(lam d)/(lam d)^(n/2+j);
+            # sigma's series in 1 - t falls like ((1 - t)/2)^m, so 80 terms
+            # reach round-off for t > 0, where every row lies
+            series = np.polynomial.Polynomial(
+                [0.0] + [2.0 ** (m + 1) / (m * m * math.comb(2 * m, m))
+                         for m in range(1, 81)])
+            sigma = [None] + [(-1.0) ** j * series.deriv(j)(1.0 - t)
+                              for j in range(1, k + 1)]
+            ball = [None] + [(lams[:, None] ** 2 / TWO_PI) ** (0.5 * n)
+                             * (-0.5 * lams[:, None] ** 2) ** j
+                             * bessel_j_scaled(0.5 * n + j, lams[:, None] * d)
+                             for j in range(1, k + 1)]
+            for j in range(1, k + 1):
+                values[j] -= faa_di_bruno(
+                    ball, lambda block: sigma[len(block)], j)
         return values
 
     zero = np.zeros(model.dim)
-    return sphere_fd_batch(model, xs, ys, bracket, zero, zero, order)
+    return sphere_deriv_batch(model, xs, ys, bracket, zero, zero, order)
 
 
 # --------------------------------------------------------------------------

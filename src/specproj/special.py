@@ -1,12 +1,13 @@
 """Special functions needed by the kernel sums.
 
-Bessel J of integer and half-integer order, Legendre polynomials with
-derivatives, and product quadrature rules on the unit circle and sphere.
-Everything here is deliberately simple: ascending series below the switch
-point x = 12, large-argument expansions above it, and three-term
-recurrences for Legendre.  Accuracy target is 1e-10 relative away from
-zeros of the functions, for x up to 1e4.  The Bessel functions run on
-arrays, a float as a 0-d array.
+Bessel J of integer and half-integer order, weighted Legendre sums with
+their t-derivatives, and product quadrature rules on the unit circle and
+sphere.  Everything here is deliberately simple: ascending series below
+the switch point x = 12, large-argument expansions above it, and Bonnet's
+three-term recurrence for Legendre, differentiated for the derivative
+rows.  Accuracy target is 1e-10 relative away from zeros of the
+functions, for x up to 1e4.  The Bessel functions run on arrays, a float
+as a 0-d array.
 """
 
 from __future__ import annotations
@@ -122,43 +123,20 @@ def bessel_j_scaled(order, z):
     return out if values.ndim else float(out)
 
 
-def legendre_p(ell: int, t: float) -> tuple[float, float]:
-    """Legendre polynomial P_ell(t) and its derivative.
+def legendre_weighted_sum(coeffs: np.ndarray, t: np.ndarray, tops=None,
+                          derivs: int = 0) -> np.ndarray:
+    """sum_l coeffs[l] P^(k)_l(t) for k = 0..derivs, on an array of t.
 
-    Both follow three-term recurrences; the derivative uses
-    P'_{m+1} = P'_{m-1} + (2m+1) P_m, which stays finite at t = +-1.
-    Arguments slightly outside [-1, 1] (within 1e-12) are clamped.
-    """
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
-    if not abs(t) <= 1.0 + 1e-12:
-        raise ValueError(f"t={t} outside [-1, 1]")
-    t = min(1.0, max(-1.0, t))
-    if ell == 0:
-        return 1.0, 0.0
-    if ell == 1:
-        return t, 1.0
-    p_prev, p = 1.0, t
-    dp_prev, dp = 0.0, 1.0
-    for m in range(1, ell):
-        p_next = ((2 * m + 1) * t * p - m * p_prev) / (m + 1)
-        dp_next = dp_prev + (2 * m + 1) * p
-        p_prev, p = p, p_next
-        dp_prev, dp = dp, dp_next
-    return p, dp
-
-
-def legendre_weighted_sum(coeffs: np.ndarray, t: np.ndarray,
-                          tops=None) -> np.ndarray:
-    """sum_l coeffs[l] * P_l(t) for an array of arguments t.
-
-    One vectorized sweep of the recurrence up to len(coeffs)-1, run in
-    place in three rotating buffers.  Given a non-decreasing sequence of
-    tops in [-1, len(coeffs)-1], the sweep runs to the last top and returns
-    the partial sums over l <= top for every top, shape (len(tops),) +
-    t.shape; a top of -1 gives 0.  Each partial sum has taken exactly the
-    operations of a call on coeffs[:top + 1], so it equals that call bit
-    for bit.
+    One vectorized sweep up to len(coeffs)-1, in place in three rotating
+    buffers whose row k holds E^(k) = P^(k) / k!.  Bonnet's recurrence
+    differentiated k times becomes, for every row,
+    (m+1) E^(k)_{m+1} = (2m+1) (t E^(k)_m + E^(k-1)_m) - m E^(k)_{m-1},
+    which stays finite at t = +-1.  The result has a leading axis k.  Given
+    non-decreasing tops in [-1, len(coeffs)-1], it holds the partial sums
+    over l <= top for each top, shape (derivs + 1, len(tops)) + t.shape, a
+    top of -1 giving 0.  Each partial sum has taken exactly the operations
+    of a call on coeffs[:top + 1], and row 0 those of a call with derivs = 0,
+    so each equals that call bit for bit.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -170,30 +148,46 @@ def legendre_weighted_sum(coeffs: np.ndarray, t: np.ndarray,
             or wanted and not -1 <= wanted[0] <= wanted[-1] < coeffs.size):
         raise ValueError("tops must not decrease and must lie in "
                          f"[-1, {coeffs.size - 1}]")
-    sums = np.zeros((len(wanted),) + t.shape)
+    shape = (derivs + 1,) + t.shape
+    sums = np.zeros((derivs + 1, len(wanted)) + t.shape)
     rows = {l: [i for i, top in enumerate(wanted) if top == l]
             for l in wanted}
     if wanted and wanted[-1] >= 0:
-        out = np.full_like(t, coeffs[0])
+        out = np.zeros(shape)
+        out[0] = coeffs[0]
         if 0 in rows:
-            sums[rows[0]] = out
-        p_prev, p = np.ones_like(t), np.ones_like(t)
-        p_next, scratch = np.empty_like(t), np.empty_like(t)
+            sums[:, rows[0]] = out[:, None]
+        # P_{-1} = P_0 = 1 in row 0 and 0 in the derivative rows; each
+        # buffer travels with its views of rows 1.. and of rows ..-1, and
+        # the float steps m and 2m+1 are read off tables
+        bufs = [np.zeros(shape) for _ in range(3)]
+        bufs[0][0] = bufs[1][0] = 1.0
+        p_prev, p, p_next = ((b, b[1:], b[:-1]) for b in bufs)
+        t_rows = np.broadcast_to(t, shape).copy()
+        scratch, lower = np.empty(shape), np.empty((derivs,) + t.shape)
+        steps = np.arange(wanted[-1] + 1, dtype=float)
+        odd = 2.0 * steps + 1.0
         for m in range(wanted[-1]):
-            # P_{m+1} = ((2m+1) t P_m - m P_{m-1}) / (m+1), in that order;
-            # m = 0 gives P_1 = t exactly
-            np.multiply(t, 2 * m + 1, out=p_next)
-            p_next *= p
-            p_prev *= m
-            p_next -= p_prev
-            p_next /= m + 1
+            (prev, _, _), (cur, _, cur_lo), (nxt, nxt_hi, _) = p_prev, p, p_next
+            # row 0 takes ((2m+1) t P_m - m P_{m-1}) / (m+1) in that
+            # order; m = 0 gives P_1 = t and P'_1 = 1 exactly
+            np.multiply(t_rows, odd[m], out=scratch)
+            np.multiply(cur, scratch, out=nxt)
+            if derivs:
+                np.multiply(cur_lo, odd[m], out=lower)
+                nxt_hi += lower
+            prev *= steps[m]
+            nxt -= prev
+            nxt /= steps[m + 1]
             p_prev, p, p_next = p, p_next, p_prev
             if m == 0 or coeffs[m + 1] != 0.0:
-                np.multiply(p, coeffs[m + 1], out=scratch)
+                np.multiply(p[0], coeffs[m + 1], out=scratch)
                 out += scratch
             if m + 1 in rows:
-                sums[rows[m + 1]] = out
-    return sums if tops is not None else sums[0]
+                sums[:, rows[m + 1]] = out[:, None]
+        factorials = [math.factorial(k) for k in range(derivs + 1)]
+        sums *= np.reshape(factorials, (-1,) + (1,) * (sums.ndim - 1))
+    return sums if tops is not None else sums[:, 0]
 
 
 # --------------------------------------------------------------------------

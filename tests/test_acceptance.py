@@ -40,13 +40,13 @@ from specproj import (
     multi_indices,
     projector_kernel,
     remainder_sweep,
-    rescaled_kernel,
     sample_ensemble,
     scaling_exponent_fit,
     torus_pair_deriv_batch,
 )
 from specproj.cli import convergence_report
 from specproj.config import format_multi_index
+from specproj.kernels import projector_kernel_deriv
 from specproj.special import sphere_quadrature
 
 TORUS2 = TorusModel(n=2)
@@ -230,8 +230,11 @@ def test_criterion_05_sphere_empty_vs_cluster_windows():
     worst = 0.0
     for ell in (50, 100, 200):
         lam = cluster_lambda(ell) - 0.5
-        val = rescaled_kernel(SPHERE, NORTH, lam, 1.0, np.zeros(2),
-                              np.zeros(2), DerivOrder.zero(2))
+        # the rescaled kernel lam^-(n-1) E_(lam, lam+1] on the diagonal
+        zero = np.zeros((1, 2))
+        val = float(projector_kernel_deriv(
+            SPHERE, SpectralWindow(lam, lam + 1.0), NORTH, zero, zero,
+            DerivOrder.zero(2))[0] * lam ** -1)
         err = abs(val - 1.0 / (2.0 * math.pi))
         worst = max(worst, err)
         assert err <= 2e-2, (ell, err)

@@ -281,6 +281,18 @@ class TestExitStatuses:
                            probe_grid_config(kind, model, 3.0, 1))
         assert load_config(cfg, kind).probe_radius == 3.0
 
+    def test_sphere_derivatives_run_at_the_grid_edge(self, tmp_path, capsys):
+        # a grid corner just inside pi: derivatives take no step beyond
+        # the offsets themselves, so a config that loads also runs
+        radius = math.pi / math.sqrt(2) - 2e-5
+        text = probe_grid_config("kernel", "sphere2", radius, 2).replace(
+            "alpha = 0:0", "alpha = 1:0")
+        cfg = write_config(tmp_path, "edge.cfg", text)
+        out = tmp_path / "out"
+        assert main(["kernel", "--config", cfg, "--out", str(out)]) == 0
+        rows = (out / "kernel_field.csv").read_text().splitlines()
+        assert len(rows) == 1 + 16
+
     @pytest.mark.parametrize("kind,model", PROBE_GRID_CASES)
     def test_probe_grid_check_agrees_with_run(self, tmp_path, capsys, kind,
                                               model):

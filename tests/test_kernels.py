@@ -1,8 +1,9 @@
 """Projector/limit/ball kernel tests.
 
 Oracle layout:
-- derivative paths are checked against central finite differences of the
-  underlying plain kernels, built here in the test;
+- torus derivative paths are checked against central finite differences
+  of the underlying plain kernels, built here in the test, and sphere
+  derivative paths against mpmath at 50 digits (tests/mp_oracle.py);
 - the ball kernel closed form is checked against the in-package radial
   quadrature (the designated oracle) AND against scipy's Bessel as an
   unrelated third route;
@@ -10,7 +11,6 @@ Oracle layout:
   and against scipy.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -32,8 +32,7 @@ from specproj.kernels import (
     multi_indices,
     projector_kernel,
     projector_kernel_deriv,
-    rescaled_kernel,
-    sphere_fd_batch,
+    sphere_deriv_batch,
     sphere_pair_deriv_batch,
     torus_cumulative_batch,
     torus_pair_deriv_batch,
@@ -43,9 +42,13 @@ from specproj.models import (
     SpectralWindow,
     TorusModel,
     exp_map,
+    sphere_clusters,
     torus_modes,
 )
 from specproj.special import legendre_weighted_sum, sphere_quadrature
+
+from mp_oracle import (mp_derivative, mp_exp_map, mp_frame,
+                       mp_legendre_sum)
 
 TWO_PI = 2.0 * math.pi
 
@@ -368,7 +371,7 @@ class TestSphereDerivatives:
         got = projector_kernel_deriv(model, window, x0, np.zeros((1, 2)),
                                      np.zeros((1, 2)), order)[0]
         want = 21 * 110 / (8 * math.pi)
-        assert got == pytest.approx(want, rel=1e-6)
+        assert got == pytest.approx(want, rel=1e-14)
 
     def test_first_derivative_vanishes_at_diagonal(self):
         model = SphereModel()
@@ -396,64 +399,62 @@ class TestSphereDerivatives:
             assert batch[i] == pytest.approx(single, rel=1e-9, abs=1e-9)
 
 
-def two_sweep_fd(model, xu, xv, profile, us, vs, order, h=1e-4):
-    """The earlier sphere_fd_batch, kept as the oracle: one profile sweep
-    over every stencil point per Richardson step, no dedupe."""
-    taps = {0: ((0, 1.0),), 1: ((-1, -0.5), (1, 0.5)),
-            2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
-            3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
-            4: ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0))}
-    dim = len(order.alpha)
-
-    def sweep(u, v):
-        t = np.sum(exp_map(model, xu, u) * exp_map(model, xv, v), axis=-1)
-        return profile(np.clip(t, -1.0, 1.0))
-
-    if order.omega == 0:
-        return sweep(us, vs)
-    stencil = [([s for s, _ in row], math.prod(w for _, w in row))
-               for row in itertools.product(
-                   *(taps[o] for o in order.alpha + order.beta))]
-    coeffs = np.array([c for _, c in stencil])
-    du = np.array([s[:dim] for s, _ in stencil], dtype=float)[:, None, :]
-    dv = np.array([s[dim:] for s, _ in stencil], dtype=float)[:, None, :]
-
-    def value(step):
-        vals = sweep(us + step * du, vs + step * dv)
-        return (coeffs @ vals) / step ** order.omega
-
-    return (4.0 * value(0.5 * h) - value(h)) / 3.0
-
-
 def bits(values) -> list[int]:
     return np.asarray(values, dtype=float).view(np.uint64).ravel().tolist()
 
 
-class TestSphereFdBatch:
-    # one pair of exp_map calls and one profile call on the distinct t for
-    # both Richardson steps; every value equals the two-sweep formula
+class TestFaaDiBruno:
+    def test_partitions_are_counted_by_bell_numbers(self):
+        for count, bell in ((1, 1), (2, 2), (3, 5), (4, 15)):
+            assert kernels.faa_di_bruno([1.0] * (count + 1),
+                                        lambda block: 1.0, count) == bell
+
+    def test_power_of_a_square(self):
+        # F(y) = y^3 and g(x) = x^2: d^k/dx^k x^6 = 6!/(6-k)! x^(6-k)
+        x = 1.5
+        outer = [x ** (2 * (3 - j)) * math.perm(3, j) for j in range(5)]
+        slope = (x * x, 2 * x, 2.0, 0.0, 0.0)
+        for k in range(1, 5):
+            got = kernels.faa_di_bruno(outer, lambda b: slope[len(b)], k)
+            assert got == pytest.approx(math.perm(6, k) * x ** (6 - k),
+                                        rel=1e-14)
+
+
+class TestSphereDerivBatch:
+    # exact derivatives of a profile of t = <x, y> against mpmath at 50
+    # digits, relative to the largest |value| of each order; row 0 of the
+    # one-base layout is the diagonal
     model = SphereModel()
     rng = np.random.default_rng(21)
-    us = rng.uniform(-0.4, 0.4, (12, 2))
-    vs = rng.uniform(-0.4, 0.4, (12, 2))
-    bases = rng.standard_normal((12, 3))
+    us = rng.uniform(-0.4, 0.4, (4, 2))
+    vs = rng.uniform(-0.4, 0.4, (4, 2))
+    us[0] = vs[0] = 0.0
+    bases = rng.standard_normal((4, 3))
     bases /= np.linalg.norm(bases, axis=1)[:, None]
-    coeffs = rng.uniform(0.0, 1.0, 150)
+    coeffs = rng.uniform(0.0, 1.0, 61)
     ORDERS = [DerivOrder(a, b) for a in multi_indices(2, 4)
               for b in multi_indices(2, 4) if sum(a) + sum(b) <= 4]
 
-    def profile(self, t):
-        return legendre_weighted_sum(self.coeffs, t)
+    def profile(self, t, k):
+        return legendre_weighted_sum(self.coeffs, t, derivs=k)
 
     @pytest.mark.parametrize("order", ORDERS, ids=lambda o: f"{o.alpha}{o.beta}")
-    def test_equals_two_sweep_formula(self, order):
-        x0 = self.bases[0]
-        for xu, xv in ((x0, x0), (self.bases, self.bases[::-1])):
-            got = sphere_fd_batch(self.model, xu, xv, self.profile, self.us,
-                                  self.vs, order)
-            want = two_sweep_fd(self.model, xu, xv, self.profile, self.us,
-                                self.vs, order)
-            assert bits(got) == bits(want)
+    def test_matches_mpmath(self, order):
+        for xu, xv in ((self.bases[0], self.bases[0]),
+                       (self.bases, self.bases[::-1])):
+            got = sphere_deriv_batch(self.model, xu, xv, self.profile,
+                                     self.us, self.vs, order)
+            want = []
+            for x, y, u, v in zip(np.broadcast_to(xu, (4, 3)),
+                                  np.broadcast_to(xv, (4, 3)),
+                                  self.us, self.vs):
+                def kernel(u, v, x=mp_frame(x), y=mp_frame(y)):
+                    t = sum(a * b for a, b in zip(mp_exp_map(x, u),
+                                                  mp_exp_map(y, v)))
+                    return mp_legendre_sum(self.coeffs, t)
+                want.append(mp_derivative(kernel, u, v, order))
+            want = np.array(want)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("order", [DerivOrder.zero(2),
                                        DerivOrder((1, 0), (0, 1)),
@@ -463,16 +464,18 @@ class TestSphereFdBatch:
         # a profile with one row per coefficient set gives one row each
         sets = self.rng.uniform(0.0, 1.0, (3, 40))
 
-        def stacked(t):
-            return np.array([legendre_weighted_sum(c, t) for c in sets])
+        def stacked(t, k):
+            return np.stack([legendre_weighted_sum(c, t, derivs=k)
+                             for c in sets], axis=1)
 
-        got = sphere_fd_batch(self.model, self.bases[1], self.bases[2],
-                              stacked, self.us, self.vs, order)
-        assert got.shape == (3, 12)
+        got = sphere_deriv_batch(self.model, self.bases[1], self.bases[2],
+                                 stacked, self.us, self.vs, order)
+        assert got.shape == (3, 4)
         for row, c in zip(got, sets):
-            want = two_sweep_fd(self.model, self.bases[1], self.bases[2],
-                                lambda t: legendre_weighted_sum(c, t),
-                                self.us, self.vs, order)
+            want = sphere_deriv_batch(
+                self.model, self.bases[1], self.bases[2],
+                lambda t, k: legendre_weighted_sum(c, t, derivs=k),
+                self.us, self.vs, order)
             assert bits(row) == bits(want)
 
     @pytest.mark.parametrize("order", [DerivOrder.zero(2),
@@ -482,9 +485,9 @@ class TestSphereFdBatch:
     def test_one_pass_per_batch(self, monkeypatch, order):
         calls = {"legendre": [], "exp_map": 0}
 
-        def legendre(coeffs, t, tops=None):
+        def legendre(coeffs, t, tops=None, derivs=0):
             calls["legendre"].append(t)
-            return legendre_weighted_sum(coeffs, t, tops)
+            return legendre_weighted_sum(coeffs, t, tops, derivs)
 
         def counted_exp_map(*args):
             calls["exp_map"] += 1
@@ -498,6 +501,30 @@ class TestSphereFdBatch:
         assert calls["exp_map"] == 2
         t = calls["legendre"][0]
         assert np.unique(t).size == t.size
+
+    @pytest.mark.parametrize("lam", [50.0, 400.0, 2000.0, 9000.0])
+    def test_diagonal_identities_at_high_frequency(self, lam):
+        # with F = sum_l c_l P_l and F'(1) = sum_l c_l l(l+1)/2: at u = v,
+        # d_u1 d_v1 E = F'(1) g11(u), g11 = (u1/r)^2 + (sin r/r)^2 (u2/r)^2
+        # the metric of normal coordinates, and d_u1^2 E(exp(u), x0) =
+        # -F'(1) at u = 0.  Off u = 0, t = <X, X> rounds by an ulp, which
+        # the derivatives amplify by F''(1)/F'(1) ~ lam^2/4
+        window = SpectralWindow(lam, lam + 1.0)
+        c = kernels.sphere_coeffs(sphere_clusters(self.model, window))
+        ell = np.arange(c.size)
+        slope = math.fsum(c * ell * (ell + 1) / 2)
+        us = np.array([[0.0, 0.0], [0.3, -0.2], [-0.1, 0.4]])
+        r = np.hypot(*us.T)
+        g11 = np.ones(3)
+        g11[1:] = ((us[1:, 0] / r[1:]) ** 2
+                   + (np.sin(r[1:]) / r[1:] * us[1:, 1] / r[1:]) ** 2)
+        got = sphere_pair_deriv_batch(self.model, window, self.bases[3], us,
+                                      us, DerivOrder((1, 0), (1, 0)))
+        assert np.max(np.abs(got / (slope * g11) - 1.0)) <= 2e-8
+        zero = np.zeros((1, 2))
+        got = sphere_pair_deriv_batch(self.model, window, self.bases[3], zero,
+                                      zero, DerivOrder((2, 0), (0, 0)))[0]
+        assert got == pytest.approx(-slope, rel=2e-8)
 
 
 class TestBallKernel:
@@ -580,6 +607,13 @@ class TestBallKernel:
     def test_rejects_nan_and_infinite(self, d, lam):
         with pytest.raises(ValueError, match="finite"):
             ball_kernel(2, d, lam)
+
+    @pytest.mark.parametrize("d, lam", [
+        (0.3, math.nan), (math.nan, 5.0), (0.3, math.inf), (math.inf, 5.0),
+        (-0.1, 5.0), (0.3, -1.0)])
+    def test_quadrature_rejects_nan_infinite_and_negative(self, d, lam):
+        with pytest.raises(ValueError, match="finite"):
+            ball_kernel_quadrature(2, d, lam)
 
     @pytest.mark.parametrize("gamma", [(1, 0), (2, 1), (3, 0), (1, 3), (0, 4)])
     def test_deriv_rows_equal_one_row_calls(self, gamma):
@@ -690,6 +724,16 @@ class TestLimitKernel:
         assert got[0] == pytest.approx(1.0 / TWO_PI, abs=1e-12)
         assert got[1] == pytest.approx(limit_kernel_closed_form(2, 1.0),
                                        abs=1e-12)
+
+
+def rescaled_kernel(model, x0, lam, delta, u, v, order):
+    """Derivative of lam^-(n-1) E_(lam, lam+delta](exp(u/lam), exp(v/lam)):
+    one row of projector_kernel_deriv at the rescaled offsets, times the
+    extra lam^-omega that differentiating after the rescaling brings."""
+    window = SpectralWindow(lam, lam + delta)
+    rows = np.asarray([u, v], dtype=float)[:, None, :] / lam
+    base = projector_kernel_deriv(model, window, x0, *rows, order)[0]
+    return float(base * lam ** (-(model.n - 1) - order.omega))
 
 
 class TestRescaledKernel:

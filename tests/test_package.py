@@ -58,8 +58,8 @@ def test_no_private_cross_module_imports(path):
 
 @pytest.mark.parametrize("source, names", [
     ("from .models import exp_map, _dot\n", ["_dot"]),
-    ("from specproj.kernels import _tensor_stencil as stencil\n",
-     ["_tensor_stencil"]),
+    ("from specproj.kernels import _radial_terms as terms\n",
+     ["_radial_terms"]),
     ("from . import models\nmodels._norm(x)\n", ["models._norm"]),
     ("import specproj._private\n", ["_private"]),
     ("from . import __version__\nfrom numpy import _globals\n", []),

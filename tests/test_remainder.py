@@ -7,6 +7,7 @@ assembled field; fits are validated on synthetic exact power laws.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from specproj import kernels, remainder
 from specproj.kernels import (
     DerivOrder,
     ball_kernel_deriv,
+    multi_indices,
     torus_pair_deriv_batch,
 )
 from specproj.models import (
@@ -25,6 +27,7 @@ from specproj.models import (
     TorusModel,
     counting_function,
     exp_map,
+    sphere_clusters,
     tangent_frame,
     torus_modes,
     torus_separation,
@@ -37,6 +40,9 @@ from specproj.remainder import (
     remainder_sweep,
     scaling_exponent_fit,
 )
+
+from mp_oracle import (mp_derivative, mp_exp_map, mp_frame,
+                       mp_legendre_sum)
 
 TWO_PI = 2.0 * math.pi
 
@@ -149,6 +155,50 @@ class TestRemainderField:
                 want = (f1 + b1 / math.sin(d)) * float(np.dot(e1, y))
                 got = remainder_at(model, x, y, lam, order)
                 assert got == pytest.approx(want, rel=1e-6)
+
+
+class TestSphereRemainderDerivatives:
+    # every order omega <= 4 against mpmath at 50 digits, relative to the
+    # largest |value| of each order, on one diagonal and three off-diagonal
+    # rows, the last with lam d > 12, past the Bessel series switch.  The
+    # bracket F(t) - b(arccos(t)^2) is analytic at t = 1; the oracle takes
+    # J_1(z)/z = 0F1(; 2; -z^2/4) / 2 for the ball term b.  The bound is
+    # bessel_j_scaled's: near its switch at z = 12 it is off by up to 5e-12
+    # relative, which the bracket's cancellation can raise to about 2e-12
+    # of a value (order 0 shares it).
+    model = SphereModel()
+    rng = np.random.default_rng(5)
+    x0 = rng.standard_normal(3)
+    x0 /= np.linalg.norm(x0)
+    xs = exp_map(model, x0, [[0.0, 0.0], [0.0, 0.0], [0.1, 0.1], [0.6, -0.3]])
+    ys = exp_map(model, x0, [[0.0, 0.0], [0.3, -0.2], [-0.5, 0.6],
+                             [-0.5, 0.5]])
+
+    @pytest.mark.parametrize("omega", [0, 1, 2, 3, 4])
+    def test_matches_mpmath(self, omega):
+        lam = 12.3
+        coeffs = kernels.sphere_coeffs(
+            sphere_clusters(self.model, SpectralWindow(0.0, lam)))
+        orders = [DerivOrder(a, b) for a in multi_indices(2, omega)
+                  for b in multi_indices(2, omega) if sum(a) + sum(b) == omega]
+        for order in orders:
+            got = remainder_batch(self.model, self.xs, self.ys, (lam,),
+                                  order)[0]
+            want = []
+            for x, y in zip(self.xs, self.ys):
+                def bracket(u, v, x=mp_frame(x), y=mp_frame(y)):
+                    t = sum(a * b for a, b in zip(mp_exp_map(x, u),
+                                                  mp_exp_map(y, v)))
+                    sigma = mp.re(mp.acos(t) ** 2)
+                    ball = (lam * lam / (4 * mp.pi)
+                            * mp.hyp0f1(2, -lam * lam * sigma / 4))
+                    const = 1 / (4 * mp.pi) if omega == 0 else 0
+                    return mp_legendre_sum(coeffs, t) + const - ball
+                want.append(mp_derivative(bracket, np.zeros(2),
+                                          np.zeros(2), order))
+            want = np.array(want)
+            assert (np.max(np.abs(got - want))
+                    <= 1e-11 * np.max(np.abs(want))), order
 
 
 class TestRemainderBatch:
@@ -385,9 +435,9 @@ class TestSphereOnePassSweep:
         calls = {"legendre": 0, "exp_map": 0}
         legendre, exp = remainder.legendre_weighted_sum, kernels.exp_map
 
-        def counted_legendre(*args):
+        def counted_legendre(*args, **kwargs):
             calls["legendre"] += 1
-            return legendre(*args)
+            return legendre(*args, **kwargs)
 
         def counted_exp_map(*args):
             calls["exp_map"] += 1

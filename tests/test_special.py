@@ -16,7 +16,6 @@ from specproj.special import (
     adaptive_simpson,
     bessel_j,
     bessel_j_scaled,
-    legendre_p,
     legendre_weighted_sum,
     sphere_quadrature,
 )
@@ -158,44 +157,69 @@ class TestBessel:
             assert left == pytest.approx(right, abs=5e-11)
 
 
+def legendre(ell: int, t, derivs: int = 0):
+    """P^(k)_ell(t) for k = 0..derivs: the sweep on a unit coefficient
+    vector."""
+    return legendre_weighted_sum(np.eye(ell + 1)[ell], t, derivs=derivs)
+
+
 class TestLegendre:
     @pytest.mark.parametrize("ell", [0, 1, 2, 3, 5, 17, 50, 200])
     def test_matches_scipy(self, ell):
-        for t in np.linspace(-1.0, 1.0, 41):
-            val, _ = legendre_p(ell, float(t))
-            assert val == pytest.approx(float(ssp.eval_legendre(ell, t)),
-                                        abs=1e-10)
+        # row 0 against scipy, rows 1.. against numpy's Legendre series
+        # derivatives, relative to the largest |P^(k)| on [-1, 1], at t = 1
+        t = np.linspace(-1.0, 1.0, 41)
+        got = legendre(ell, t, derivs=4)
+        assert np.allclose(got[0], ssp.eval_legendre(ell, t), rtol=0,
+                           atol=1e-10)
+        unit = np.eye(ell + 1)[ell]
+        for k in range(1, 5):
+            want = np.polynomial.legendre.legval(
+                t, np.polynomial.legendre.legder(unit, k))
+            scale = max(1.0, abs(want[-1]))
+            assert np.max(np.abs(got[k] - want)) <= 1e-12 * scale
 
     def test_pinned_values(self):
-        assert legendre_p(2, 0.5)[0] == pytest.approx(-0.125, abs=1e-15)
+        assert legendre(2, 0.5)[0] == pytest.approx(-0.125, abs=1e-15)
         for ell in (0, 1, 5, 40):
-            assert legendre_p(ell, 1.0)[0] == pytest.approx(1.0, abs=1e-12)
-            assert legendre_p(ell, -1.0)[0] == pytest.approx((-1.0) ** ell,
-                                                             abs=1e-12)
+            assert legendre(ell, 1.0)[0] == pytest.approx(1.0, abs=1e-12)
+            assert legendre(ell, -1.0)[0] == pytest.approx((-1.0) ** ell,
+                                                           abs=1e-12)
 
     def test_derivative_against_finite_differences(self):
+        # row k against a central difference of row k - 1
         h = 1e-6
         for ell in (1, 2, 7, 23, 50):
             for t in np.linspace(-0.99, 0.99, 21):
-                _, dval = legendre_p(ell, float(t))
-                fd = (legendre_p(ell, float(t) + h)[0]
-                      - legendre_p(ell, float(t) - h)[0]) / (2 * h)
-                assert dval == pytest.approx(fd, abs=1e-6 * max(1, abs(dval)))
+                rows = legendre(ell, t, derivs=4)
+                up, down = legendre(ell, t + h, 3), legendre(ell, t - h, 3)
+                for k in range(1, 5):
+                    fd = (up[k - 1] - down[k - 1]) / (2 * h)
+                    assert rows[k] == pytest.approx(
+                        fd, abs=1e-6 * max(1, abs(rows[k])))
 
     def test_derivative_at_endpoints(self):
-        # P_l'(1) = l(l+1)/2 exactly
+        # P'_l(+-1) = (+-1)^(l+1) l(l+1)/2 and in general
+        # P^(k)_l(+-1) = (+-1)^(l+k) (l+k)! / (2^k k! (l-k)!)
         for ell in (1, 2, 10, 50):
-            _, dval = legendre_p(ell, 1.0)
-            assert dval == pytest.approx(ell * (ell + 1) / 2.0, rel=1e-12)
+            for sign in (1.0, -1.0):
+                rows = legendre(ell, sign, derivs=4)
+                assert rows[1] == pytest.approx(
+                    sign ** (ell + 1) * ell * (ell + 1) / 2.0, rel=1e-12)
+                for k in range(2, 5):
+                    want = (sign ** (ell + k) * math.factorial(ell + k)
+                            / (2 ** k * math.factorial(k)
+                               * math.factorial(ell - k))) if k <= ell else 0
+                    assert rows[k] == pytest.approx(want, rel=1e-12)
 
     def test_weighted_sum_matches_loop(self):
         rng = np.random.default_rng(3)
         coeffs = rng.standard_normal(12)
         t = np.linspace(-1, 1, 9)
         got = legendre_weighted_sum(coeffs, t)
-        want = sum(c * np.array([legendre_p(l, float(tt))[0] for tt in t])
-                   for l, c in enumerate(coeffs))
-        assert np.allclose(got, want, atol=1e-12)
+        assert got.shape == (1, 9)
+        want = sum(c * ssp.eval_legendre(l, t) for l, c in enumerate(coeffs))
+        assert np.allclose(got[0], want, rtol=0, atol=1e-12)
 
     def test_in_place_sweep_equals_allocating_sweep(self):
         # the earlier sweep, one new array per operation, kept here as the
@@ -224,6 +248,9 @@ class TestLegendre:
                 allocating(coeffs, t))
             assert bits(legendre_weighted_sum(coeffs, 0.3)) == bits(
                 allocating(coeffs, 0.3))
+            # the derivative rows leave row 0 as it was
+            assert bits(legendre_weighted_sum(coeffs, t, derivs=3)[0]) == bits(
+                allocating(coeffs, t))
 
     @pytest.mark.parametrize("tops", [
         [-1], [0], [1], [-1, 0, 1], [3, 3, 3], [-1, -1, 5, 5, 29],
@@ -234,11 +261,12 @@ class TestLegendre:
         coeffs[[2, 5, 11]] = 0.0
         for t in (np.concatenate([[-1.0, 1.0], rng.uniform(-1, 1, 50)]),
                   rng.uniform(-1, 1, (3, 4)), 1.0, -1.0, 0.25):
-            got = legendre_weighted_sum(coeffs, t, tops)
-            assert got.shape == (len(tops),) + np.shape(t)
-            for row, top in zip(got, tops):
-                assert bits(row) == bits(
-                    legendre_weighted_sum(coeffs[:top + 1], t))
+            for derivs in (0, 3):
+                got = legendre_weighted_sum(coeffs, t, tops, derivs)
+                assert got.shape == (derivs + 1, len(tops)) + np.shape(t)
+                for i, top in enumerate(tops):
+                    assert bits(got[:, i]) == bits(legendre_weighted_sum(
+                        coeffs[:top + 1], t, derivs=derivs))
 
     def test_rejects_nan_and_out_of_range(self):
         coeffs = np.ones(4)
@@ -246,7 +274,7 @@ class TestLegendre:
             with pytest.raises(ValueError, match="outside"):
                 legendre_weighted_sum(coeffs, np.array([0.5, bad]))
             with pytest.raises(ValueError, match="outside"):
-                legendre_p(3, bad)
+                legendre(3, bad, derivs=2)
         # within 1e-12 of the ends an argument is clamped
         assert bits(legendre_weighted_sum(coeffs, 1.0 + 1e-13)) == bits(
             legendre_weighted_sum(coeffs, 1.0))
@@ -256,9 +284,11 @@ class TestLegendre:
         for tops in ([2, 1], [-2], [5], [0, 5]):
             with pytest.raises(ValueError, match="tops"):
                 legendre_weighted_sum(coeffs, np.zeros(3), tops)
-        assert legendre_weighted_sum(coeffs, np.zeros(3), []).shape == (0, 3)
+        assert legendre_weighted_sum(coeffs, np.zeros(3), []).shape == (1, 0,
+                                                                        3)
         assert np.array_equal(legendre_weighted_sum(np.zeros(0), np.ones(2),
-                                                    [-1, -1]), np.zeros((2, 2)))
+                                                    [-1, -1], 2),
+                              np.zeros((3, 2, 2)))
 
 
 def bits(values) -> list[int]:
