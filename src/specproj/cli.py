@@ -192,6 +192,7 @@ def _run_loopset(config: LoopsetConfig, out_dir: Path,
               estimate.csv_rows())
     metrics["max_energy_drift"] = estimate.max_energy_drift
     metrics["max_constraint_drift"] = estimate.max_constraint_drift
+    metrics["max_clairaut_drift"] = estimate.max_clairaut_drift
     return ["loopset.csv"]
 
 

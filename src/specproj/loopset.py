@@ -7,33 +7,36 @@ directions estimates the size of the loop set: measure zero on the flat
 torus (rational slopes only), everything on the round sphere (all great
 circles close), and somewhere in between on ellipsoids of revolution.
 
-Integration is fixed-step RK4 in ambient coordinates.  The sphere and the
-ellipsoids are the quadric x^T A x = 1 in R^3 with A = diag(1, 1, 1/c^2);
-the normal there is A x, and a unit-speed curve on it is a geodesic when
-its acceleration is normal, which fixes
+The sphere and the ellipsoids are the quadric x^T A x = 1 in R^3 with
+A = diag(1, 1, 1/c^2); the flat torus is R^2 with distances taken modulo
+2 pi.  The state (x, v) has no poles or charts.  On the torus and the
+sphere a state at t = k h is the closed form from the launch state,
+
+    torus:   x(t) = x0 + t v0,               v(t) = v0,
+    sphere:  x(t) = cos t x0 + sin t v0,     v(t) = cos t v0 - sin t x0.
+
+Ellipsoids, c = 1 included (an RK4 route on the round sphere for
+cross-checks), take fixed RK4 steps: the normal is A x, and a unit-speed
+curve on the quadric is a geodesic when its acceleration is normal, so
 
     x'' = - (v^T A v / |A x|^2) A x,        v = x'.
 
-The state (x, v) has no poles or charts.  The flat torus integrates
-x'' = 0 in R^2 and measures distances modulo 2 pi.  Every step checks the
-energy | |v|^2 - 1 | and, on a quadric, the constraint | x^T A x - 1 |;
-both must stay within 1e-6.  Nothing projects back onto the surface, so
-the two guards measure the integration error itself.
+Guards bound each state's energy | |v|^2 - 1 | and, on a quadric, the
+constraint | x^T A x - 1 | and the drift of Clairaut's invariant
+L_z = x v_y - y v_x (conserved on surfaces of revolution), all by 1e-6.
+Nothing projects back onto the surface, so they read the integration error
+or the closed form's rounding.
 
-The march runs in blocks of b = max(1, 2048 // n) steps for n directions
-(32 steps for 64 directions, 10 for 200), a budget of 2048 stored states
-that keeps a block's arrays a few hundred kB whatever n is.  Each step is
-stacked RK4 on y = (x, v) of shape (2, n, d), written in place into
-buffers allocated once per march, so a step costs a few dozen numpy calls
-on small arrays.  Everything else runs once per block, vectorized over
-its b stored states: the two guards, the per-segment closest approach,
-the running minimum and the first-return search.  The guards still raise
-at the first offending step, with that step's value.  The result is bit
-for bit the one of a step-by-step march: each elementwise operation
-takes the same operands in the same order, every reduction is still one
-over the d = 2 or 3 coordinates of a point, and min and argmax are exact.
-Only the torus offset, wrapped modulo 2 pi, stays a running sum step by
-step inside the block.
+The march runs in blocks of b = max(1, 2048 // n) steps for n directions,
+a budget of 2048 stored states whatever n is: one closed-form evaluation,
+or b stacked RK4 steps in buffers allocated once per march.  The guards,
+the closest approach per segment and the first-return search then run
+vectorized over the block.  The result is bit for bit the one of a
+step-by-step march: the guards raise at the first offending step with its
+value, elementwise operations keep their operands and order, sums over
+the d = 2 or 3 coordinates of a point run left to right (the bits of
+np.add.reduce, without its slow loop over a short axis), and min and
+argmax are exact.
 """
 
 from __future__ import annotations
@@ -47,6 +50,8 @@ TWO_PI = 2.0 * math.pi
 
 _ENERGY_TOL = 1e-6
 _CONSTRAINT_TOL = 1e-6
+_CLAIRAUT_TOL = 1e-6
+_GUARDS = ("energy", "constraint", "Clairaut")
 _MAX_STEP = 1e-3
 # states per march block: steps per block times directions
 _BLOCK_ROWS = 2048
@@ -80,12 +85,33 @@ def _quadric(surface: SurfaceSpec) -> np.ndarray | None:
     return np.array([1.0, 1.0, 1.0 / surface.c ** 2])
 
 
-def _accel(a: np.ndarray | None, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    if a is None:
-        return np.zeros_like(v)
+def _coord_sum(p: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of 2 or 3 coordinates, left to right."""
+    total = p[..., 0] + p[..., 1]
+    if p.shape[-1] == 3:
+        total += p[..., 2]
+    return total
+
+
+def _clairaut(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """L_z = x v_y - y v_x, conserved on surfaces of revolution."""
+    return x[..., 0] * v[..., 1] - x[..., 1] * v[..., 0]
+
+
+def _accel(a: np.ndarray, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     ax = a * x
-    num = np.add.reduce(a * v * v, axis=1)
-    return -(num / np.add.reduce(ax * ax, axis=1))[:, None] * ax
+    return -(_coord_sum(a * v * v) / _coord_sum(ax * ax))[:, None] * ax
+
+
+def _flow(torus: bool, x: np.ndarray, v: np.ndarray, t: np.ndarray):
+    """Exact states (x(t), v(t)), shape (len(t), n, d), from (x, v) at
+    t = 0: straight lines on the torus, great circles on the sphere."""
+    t = t[:, None, None]
+    if torus:
+        xs = x + t * v
+        return xs, np.broadcast_to(v, xs.shape)
+    cos, sin = np.cos(t), np.sin(t)
+    return cos * x + sin * v, cos * v - sin * x
 
 
 class _RK4:
@@ -94,7 +120,7 @@ class _RK4:
     k = (v, a(x, v)), so no stage copies its velocity.  The three inner
     stages live in buffers allocated once per march."""
 
-    def __init__(self, a: np.ndarray | None, n: int, dim: int, h: float):
+    def __init__(self, a: np.ndarray, n: int, dim: int, h: float):
         self.a = a
         self.coeffs = (0.5 * h, 0.5 * h, h)
         self.sixth = h / 6.0
@@ -163,52 +189,55 @@ def _launch(surface: SurfaceSpec, x0: np.ndarray, angles: np.ndarray):
 
 def _march(surface: SurfaceSpec, x: np.ndarray, v: np.ndarray, steps: int,
            h: float):
-    """Take `steps` RK4 steps in blocks of max(1, _BLOCK_ROWS // n); yield
-    (positions, max energy drift so far, max constraint drift so far) once
-    per block of b steps, positions of shape (b + 1, n, d) running from the
-    state before the block to the state after it.  The positions are a view
-    of a buffer the next block overwrites.
+    """States after 0 .. `steps` steps from (x, v) in blocks of
+    max(1, _BLOCK_ROWS // n) steps.  Yields (positions, drifts) per block
+    of b steps: positions of shape (b + 1, n, d) from the state before the
+    block to the state after it (RK4's are a view of a buffer the next
+    block overwrites), and the largest (energy, constraint, Clairaut)
+    drifts so far, the last two 0 on the torus.
 
-    Raises ArithmeticError once | |v|^2 - 1 | exceeds _ENERGY_TOL or
-    | x^T A x - 1 | exceeds _CONSTRAINT_TOL, or either one is NaN (each
-    guard reads `not (value <= tol)` on each step's value).  The guards see
-    a block at once but raise at its first offending step, energy before
-    constraint, with that step's value.
+    Raises ArithmeticError at the first step whose drift exceeds
+    _ENERGY_TOL, _CONSTRAINT_TOL or _CLAIRAUT_TOL, in that order, or is NaN
+    (each guard reads `not (value <= tol)`), with that step's value.
     """
     a = _quadric(surface)
     n, dim = x.shape
     block = max(1, _BLOCK_ROWS // n)
-    rk4 = _RK4(a, n, dim, h)
-    # row i holds (x, v, a(x, v)) after i steps of the block
-    rows = np.empty((block + 1, 3, n, dim))
-    rows[0, 0] = x
-    rows[0, 1] = v
-    drift = level_drift = 0.0
+    rk4 = surface.kind == "ellipsoid"
+    if rk4:
+        stepper = _RK4(a, n, dim, h)
+        # row i holds (x, v, a(x, v)) after i steps of the block
+        rows = np.empty((block + 1, 3, n, dim))
+        rows[0, :2] = x, v
+    tols = np.array([_ENERGY_TOL, _CONSTRAINT_TOL, _CLAIRAUT_TOL])
+    lz = _clairaut(x, v)
+    worst = np.zeros(3)
     done = 0
     while done < steps:
         b = min(block, steps - done)
-        for i in range(b):
-            rk4.step(rows[i], rows[i + 1, :2])
-        vs = rows[1:b + 1, 1]
-        energy = np.abs(np.add.reduce(vs * vs, axis=-1) - 1.0).max(axis=1)
-        bad = ~(energy <= _ENERGY_TOL)
+        if rk4:
+            for i in range(b):
+                stepper.step(rows[i], rows[i + 1, :2])
+            xs, vs = rows[:b + 1, 0], rows[:b + 1, 1]
+        else:
+            xs, vs = _flow(a is None, x, v, h * np.arange(done, done + b + 1))
+        # drifts[g, i]: guard g after step i + 1 of the block
+        drifts = np.zeros((3, b))
+        drifts[0] = np.abs(_coord_sum(vs[1:] * vs[1:]) - 1.0).max(axis=1)
         if a is not None:
-            xs = rows[1:b + 1, 0]
-            level = np.abs(np.add.reduce(a * xs * xs, axis=-1)
-                           - 1.0).max(axis=1)
-            bad |= ~(level <= _CONSTRAINT_TOL)
+            drifts[1] = np.abs(_coord_sum(a * xs[1:] * xs[1:])
+                               - 1.0).max(axis=1)
+            drifts[2] = np.abs(_clairaut(xs[1:], vs[1:]) - lz).max(axis=1)
+        bad = ~(drifts <= tols[:, None])
         if bad.any():
-            first = int(bad.argmax())
-            if not energy[first] <= _ENERGY_TOL:
-                raise ArithmeticError(f"energy drift {energy[first]:.3e} "
-                                      f"exceeds {_ENERGY_TOL}")
-            raise ArithmeticError(f"constraint drift {level[first]:.3e} "
-                                  f"exceeds {_CONSTRAINT_TOL}")
-        drift = max(drift, float(energy.max()))
-        if a is not None:
-            level_drift = max(level_drift, float(level.max()))
-        yield rows[:b + 1, 0], drift, level_drift
-        rows[0] = rows[b]
+            first = int(bad.any(axis=0).argmax())
+            g = int(bad[:, first].argmax())
+            raise ArithmeticError(f"{_GUARDS[g]} drift {drifts[g, first]:.3e} "
+                                  f"exceeds {float(tols[g])}")
+        worst = np.maximum(worst, drifts.max(axis=1))
+        yield xs, tuple(worst.tolist())
+        if rk4:
+            rows[0] = rows[b]
         done += b
 
 
@@ -219,11 +248,11 @@ def _wrap(rel: np.ndarray) -> np.ndarray:
 def _segment_min(rel: np.ndarray, delta: np.ndarray):
     """Min distance to the origin over the segment rel + s*delta, s in [0,1],
     for each row of the last axis."""
-    dd = np.add.reduce(delta * delta, axis=-1)
-    s = -np.add.reduce(rel * delta, axis=-1) / np.where(dd > 0.0, dd, 1.0)
+    dd = _coord_sum(delta * delta)
+    s = -_coord_sum(rel * delta) / np.where(dd > 0.0, dd, 1.0)
     s = np.clip(s, 0.0, 1.0)
     closest = rel + s[..., None] * delta
-    return np.sqrt(np.add.reduce(closest * closest, axis=-1)), s
+    return np.sqrt(_coord_sum(closest * closest)), s
 
 
 @dataclass(frozen=True)
@@ -251,7 +280,7 @@ def integrate_geodesic(surface: SurfaceSpec, x0, angle: float, t_max: float,
     positions[0] = x[0]
     drift = 0.0
     done = 0
-    for block, drift, _ in _march(surface, x, v, steps, h):
+    for block, (drift, _, _) in _march(surface, x, v, steps, h):
         b = block.shape[0] - 1
         positions[done + 1:done + b + 1] = block[1:, 0]
         done += b
@@ -264,16 +293,13 @@ def closed_form_geodesic(surface: SurfaceSpec, x0, angle: float,
                          times: np.ndarray) -> np.ndarray:
     """Exact geodesics for the torus (straight lines) and sphere (great
     circles), used as integration oracles."""
-    x0 = np.asarray(x0, dtype=float)
-    times = np.asarray(times, dtype=float)
-    base, e1, e2 = _base_frame(surface, x0)
+    if surface.c != 1.0:
+        raise ValueError("no closed form for a non-round ellipsoid")
+    base, e1, e2 = _base_frame(surface, np.asarray(x0, dtype=float))
     xi = math.cos(angle) * e1 + math.sin(angle) * e2
-    if surface.kind == "torus":
-        return x0[None, :] + times[:, None] * xi[None, :]
-    if surface.c == 1.0:
-        return (np.cos(times)[:, None] * base[None, :]
-                + np.sin(times)[:, None] * xi[None, :])
-    raise ValueError("no closed form for a non-round ellipsoid")
+    positions, _ = _flow(surface.kind == "torus", base[None, :],
+                         xi[None, :], np.asarray(times, dtype=float))
+    return positions[:, 0]
 
 
 @dataclass(frozen=True)
@@ -288,6 +314,7 @@ class LoopsetEstimate:
     min_distances: np.ndarray
     max_energy_drift: float
     max_constraint_drift: float     # 0 on the torus, which has no constraint
+    max_clairaut_drift: float       # 0 on the torus, which has no axis
 
     @property
     def fraction(self) -> float:
@@ -310,7 +337,9 @@ def loopset_fraction(surface: SurfaceSpec, x0, n_directions: int,
 
     Directions are stratified: n equally spaced angles with an independent
     seeded jitter inside each stratum.  Distances are measured to the
-    chord-accurate minimum over each integration segment, from t_min on.
+    chord-accurate minimum over each step's segment, over [t_min, t_max]
+    exactly: the march takes ceil(t_max / h) steps, and the segments that
+    straddle t_min or t_max are clamped there.
     """
     if n_directions < 1:
         raise ValueError("n_directions must be >= 1")
@@ -327,26 +356,20 @@ def loopset_fraction(surface: SurfaceSpec, x0, n_directions: int,
 
     pos, v = _launch(surface, x0, angles)
     base = pos[0]
-    torus = surface.kind == "torus"
-    rel = _wrap(pos - base[None, :]) if torus else None
     min_d = np.full(n_directions, np.inf)
     ret_t = np.full(n_directions, -1.0)
-    drift = level = 0.0
-    steps = int(round(t_max / h))
+    drifts = (0.0, 0.0, 0.0)
+    end = t_max / h
+    steps = math.ceil(end)
     done = 0
-    for block, drift, level in _march(surface, pos, v, steps, h):
+    for block, drifts in _march(surface, pos, v, steps, h):
         b = block.shape[0] - 1
         t0 = np.arange(done, done + b) * h
         done += b
         delta = block[1:] - block[:-1]
-        if torus:
-            # the wrapped offset is a running sum, one step at a time
-            rels = np.empty_like(delta)
-            for i in range(b):
-                rels[i] = rel
-                rel = _wrap(rel + delta[i])
-        else:
-            rels = block[:-1] - base
+        rels = block[:-1] - base
+        if surface.kind == "torus":
+            rels = _wrap(rels)
         live = t0 + h >= t_min
         if not live[-1]:
             continue
@@ -354,13 +377,16 @@ def loopset_fraction(surface: SurfaceSpec, x0, n_directions: int,
         rels, delta, t0 = rels[lo:], delta[lo:], t0[lo:]
         seg_t0 = t0.copy()
         seg_len = np.full_like(t0, h)
-        # clamp the segments that straddle t_min so distances are measured
-        # over [t_min, t_max] exactly
+        # clamp the segments that straddle t_min and t_max
         for i in np.flatnonzero(t0 < t_min):
             frac = (t_min - t0[i]) / h
             rels[i] = rels[i] + frac * delta[i]
             delta[i] = (1.0 - frac) * delta[i]
             seg_t0[i], seg_len[i] = t_min, (1.0 - frac) * h
+        if done == steps and end < steps:
+            frac = (t_max - seg_t0[-1]) / seg_len[-1]
+            delta[-1] = frac * delta[-1]
+            seg_len[-1] = t_max - seg_t0[-1]
         d, s = _segment_min(rels, delta)
         np.minimum(min_d, d.min(axis=0), out=min_d)
         hits = d <= tol
@@ -373,5 +399,6 @@ def loopset_fraction(surface: SurfaceSpec, x0, n_directions: int,
                            t_max=float(t_max), tol=float(tol),
                            t_min=float(t_min), angles=angles,
                            first_return_times=ret_t, min_distances=min_d,
-                           max_energy_drift=drift,
-                           max_constraint_drift=level)
+                           max_energy_drift=drifts[0],
+                           max_constraint_drift=drifts[1],
+                           max_clairaut_drift=drifts[2])

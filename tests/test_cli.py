@@ -200,7 +200,7 @@ class TestExitStatuses:
         from specproj import loopset
         monkeypatch.setattr(loopset, "_accel",
                             lambda a, x, v: np.full_like(v, np.nan))
-        cfg = write_config(tmp_path, "l.cfg", LOOPSET_CFG)
+        cfg = write_config(tmp_path, "l.cfg", ELLIPSOID_LOOPSET_CFG)
         code = main(["loopset", "--config", cfg,
                      "--out", str(tmp_path / "out")])
         assert code == 1
@@ -357,12 +357,13 @@ class TestReports:
 
     def test_loopset_manifest_metrics(self, tmp_path):
         # the integrator's guard values go to the manifest, not the CSV;
-        # a run that passed its guards has both within their 1e-6 bound
+        # a run that passed its guards has each within its 1e-6 bound
         cfg = write_config(tmp_path, "l.cfg", LOOPSET_CFG)
         out = tmp_path / "out"
         assert main(["loopset", "--config", cfg, "--out", str(out)]) == 0
         metrics = json.loads((out / "manifest.json").read_text())["metrics"]
-        for name in ("max_energy_drift", "max_constraint_drift"):
+        for name in ("max_energy_drift", "max_constraint_drift",
+                     "max_clairaut_drift"):
             assert 0.0 < metrics[name] <= 1e-6
 
     def test_remainder_outputs(self, tmp_path):

@@ -8,9 +8,11 @@ Oracles:
 - a rational-direction enumeration for the flat torus: a direction loops
   within tolerance iff the covering-plane ray passes within tolerance of
   some nonzero lattice point 2 pi m reachable before t_max;
-- a step-by-step march written out below (one RK4 step, both guards and
-  one closest-approach segment at a time), which the blocked march must
-  reproduce bit for bit.
+- the exact chord distance of the sphere's return segment, and Clairaut's
+  relation rho = |L_z| at the latitude turning points of an ellipsoid path;
+- a step-by-step march written out below (one RK4 step or closed-form
+  state, the guards and one closest-approach segment at a time), which the
+  blocked march must reproduce bit for bit.
 """
 
 import math
@@ -143,6 +145,25 @@ class TestIntegration:
                              math.sin(a) * math.sin(phi), c * math.cos(a)])
             assert np.linalg.norm(path.positions[idx] - want) < 1e-9
 
+    @pytest.mark.parametrize("c, x0, angle", [(0.5, (1.3, 0.0), 0.4),
+                                              (1.7, (1.0, 0.3), 0.9)])
+    def test_ellipsoid_turning_points_obey_clairaut(self, c, x0, angle):
+        # L_z = x v_y - y v_x is conserved, and where the latitude turns the
+        # velocity runs along the parallel, so the distance to the axis
+        # there is rho = |L_z|; each turning point is the vertex of the
+        # parabola through the three samples of rho around its minimum
+        surface = SurfaceSpec(kind="ellipsoid", c=c)
+        x, v = loopset._launch(surface, np.array(x0), np.array([angle]))
+        lz = abs(x[0, 0] * v[0, 1] - x[0, 1] * v[0, 0])
+        path = integrate_geodesic(surface, x0, angle, 12.0)
+        rho = np.hypot(path.positions[:, 0], path.positions[:, 1])
+        i = np.flatnonzero((rho[1:-1] < rho[:-2]) & (rho[1:-1] <= rho[2:])) + 1
+        assert len(i) >= 2
+        lo, mid, hi = rho[i - 1], rho[i], rho[i + 1]
+        turn = mid - (hi - lo) ** 2 / (8.0 * (hi - 2.0 * mid + lo))
+        # measured 7.3e-11 (c = 0.5) and 1.6e-13 (c = 1.7)
+        assert np.max(np.abs(turn - lz)) < 1e-9
+
     def test_unit_speed_preserved_on_ellipsoid(self):
         surface = SurfaceSpec(kind="ellipsoid", c=0.6)
         path = integrate_geodesic(surface, np.array([0.8, 2.0]), 1.3, 6.0)
@@ -225,6 +246,28 @@ class TestLoopFraction:
         assert all(len(r) == 3 for r in rows)
         assert all(r[1] > 0 for r in rows)   # all spheres loop by 6.5
 
+    def test_march_stops_at_t_max_before_the_return(self):
+        # t_max = 6.28255 lies inside the step [6.282, 6.283], short of the
+        # return at 2 pi: no direction comes within 5e-4, and the closest
+        # approach is the chord to the point at t_max
+        surface = SurfaceSpec(kind="sphere")
+        t_max = 6.28255
+        est = loopset_fraction(surface, np.array([1.0, 0.3]), 64, t_max,
+                               5e-4, seed=1)
+        assert np.all(est.first_return_times == -1.0)
+        chord = 2.0 * math.sin((TWO_PI - t_max) / 2.0)
+        assert np.max(np.abs(est.min_distances - chord)) < 1e-9
+
+    def test_march_reaches_t_max_past_the_return(self):
+        # t_max = 6.2834 lies inside the step [6.283, 6.284] that straddles
+        # 2 pi, so that step's segment counts, clamped at t_max
+        surface = SurfaceSpec(kind="sphere")
+        est = loopset_fraction(surface, np.array([1.0, 0.3]), 64, 6.2834,
+                               5e-4, seed=1)
+        assert est.fraction == 1.0
+        assert np.all(est.first_return_times <= 6.2834)
+        assert np.max(est.min_distances) < 1e-6
+
     def test_validation(self):
         surface = SurfaceSpec(kind="torus")
         with pytest.raises(ValueError):
@@ -235,9 +278,48 @@ class TestLoopFraction:
             loopset_fraction(surface, np.zeros(2), 4, 0.05, 1e-3)
 
 
+GUARD_CASES = [("_ENERGY_TOL", "energy"), ("_CONSTRAINT_TOL", "constraint"),
+               ("_CLAIRAUT_TOL", "Clairaut")]
+
+
+class TestExactOracles:
+    # the closed forms against oracles that share no code with them
+
+    @pytest.mark.parametrize("x0", [(1.0, 0.3), (0.0, 0.3), (2.5, 4.0)],
+                             ids=["generic", "pole", "south"])
+    def test_sphere_return_is_the_exact_chord(self, x0):
+        # the segment that straddles 2 pi is a chord of the great circle
+        # between arcs m - h/2 and m + h/2 from the base point, m being its
+        # midpoint's offset from 2 pi; its distance to the base point is
+        # cos m - cos(h/2) = 2 sin((h/2 + m)/2) sin((h/2 - m)/2)
+        h = 1e-3
+        est = loopset_fraction(SurfaceSpec(kind="sphere"), x0, 64, 6.5, 1e-3,
+                               seed=1)
+        m = (math.floor(TWO_PI / h) + 0.5) * h - TWO_PI
+        chord = 2.0 * math.sin((h / 2 + m) / 2) * math.sin((h / 2 - m) / 2)
+        assert np.max(np.abs(est.min_distances - chord)) < 1e-15
+
+    @pytest.mark.parametrize("x0, n, t_max, tol, seed", [
+        ((0.0, 0.0), 400, 10.0, 5e-2, 12), ((2.0, -1.0), 200, 20.0, 1e-2, 3)])
+    def test_torus_distances_match_ray_oracle(self, x0, n, t_max, tol, seed):
+        est = loopset_fraction(SurfaceSpec(kind="torus"), x0, n, t_max, tol,
+                               seed=seed)
+        want = torus_ray_min_distances(est.angles, t_max, est.t_min)
+        assert np.max(np.abs(est.min_distances - want)) < 1e-14
+
+    @pytest.mark.parametrize("x0", [(1.0, 0.3), (0.0, 0.3), (2.5, 4.0)],
+                             ids=["generic", "pole", "south"])
+    def test_round_ellipsoid_rk4_matches_sphere(self, x0):
+        # c = 1 takes the RK4 route on the round sphere
+        rk4 = loopset_fraction(SurfaceSpec(kind="ellipsoid", c=1.0), x0, 64,
+                               6.5, 1e-3, seed=1)
+        exact = loopset_fraction(SurfaceSpec(kind="sphere"), x0, 64, 6.5,
+                                 1e-3, seed=1)
+        assert np.max(np.abs(rk4.min_distances - exact.min_distances)) < 1e-12
+
+
 class TestGuards:
-    @pytest.mark.parametrize("name, what", [("_ENERGY_TOL", "energy"),
-                                            ("_CONSTRAINT_TOL", "constraint")])
+    @pytest.mark.parametrize("name, what", GUARD_CASES)
     def test_guard_raises_on_drift(self, monkeypatch, name, what):
         # at tolerance 0 any round-off drift trips the guard
         monkeypatch.setattr(loopset, name, 0.0)
@@ -298,7 +380,7 @@ class TestNaN:
         # `value > tol` would let it pass
         monkeypatch.setattr(loopset, "_accel",
                             lambda a, x, v: np.full_like(v, np.nan))
-        surface = SurfaceSpec(kind="sphere")
+        surface = SurfaceSpec(kind="ellipsoid", c=1.5)
         with pytest.raises(ArithmeticError, match="energy drift nan"):
             loopset_fraction(surface, np.array([1.0, 0.3]), 4, 0.5, 1e-3)
         with pytest.raises(ArithmeticError, match="energy drift nan"):
@@ -330,24 +412,50 @@ def ref_rk4_step(a, x, v, h):
     return x_new, v_new
 
 
-def ref_march(surface, x, v, steps, h):
-    """Yield (x, energy drift, constraint drift) of every step, each the
-    step's own value; raise as the guards do, reading the tolerances from
-    the module at call time."""
+def ref_states(surface, x, v, steps, h):
+    """The states (x, v) after steps 1 .. steps, one at a time: an RK4
+    step on an ellipsoid, the closed form at t = k h on the torus and the
+    sphere."""
     a = loopset._quadric(surface)
-    for _ in range(steps):
-        x, v = ref_rk4_step(a, x, v, h)
+    x0, v0 = x, v
+    for k in range(1, steps + 1):
+        t = k * h
+        if surface.kind == "ellipsoid":
+            x, v = ref_rk4_step(a, x, v, h)
+        elif surface.kind == "torus":
+            x = x0 + t * v0
+        else:
+            x = np.cos(t) * x0 + np.sin(t) * v0
+            v = np.cos(t) * v0 - np.sin(t) * x0
+        yield x, v
+
+
+def ref_lz(x, v):
+    return x[:, 0] * v[:, 1] - x[:, 1] * v[:, 0]
+
+
+def ref_march(surface, x, v, steps, h):
+    """Yield (x, energy drift, constraint drift, Clairaut drift) of every
+    step, each the step's own value; raise as the guards do, reading the
+    tolerances from the module at call time."""
+    a = loopset._quadric(surface)
+    lz0 = ref_lz(x, v)
+    for x, v in ref_states(surface, x, v, steps, h):
         energy = float(np.max(np.abs(np.sum(v * v, axis=1) - 1.0)))
         if not energy <= loopset._ENERGY_TOL:
             raise ArithmeticError(
                 f"energy drift {energy:.3e} exceeds {loopset._ENERGY_TOL}")
-        level = 0.0
+        level = clairaut = 0.0
         if a is not None:
             level = float(np.max(np.abs(np.sum(a * x * x, axis=1) - 1.0)))
             if not level <= loopset._CONSTRAINT_TOL:
                 raise ArithmeticError(f"constraint drift {level:.3e} "
                                       f"exceeds {loopset._CONSTRAINT_TOL}")
-        yield x, energy, level
+            clairaut = float(np.max(np.abs(ref_lz(x, v) - lz0)))
+            if not clairaut <= loopset._CLAIRAUT_TOL:
+                raise ArithmeticError(f"Clairaut drift {clairaut:.3e} "
+                                      f"exceeds {loopset._CLAIRAUT_TOL}")
+        yield x, energy, level, clairaut
 
 
 def ref_segment_min(rel, delta):
@@ -362,20 +470,27 @@ def ref_angles(n, seed):
     return TWO_PI * (np.arange(n) + np.random.default_rng(seed).random(n)) / n
 
 
+def ref_offset(surface, pos, base):
+    rel = pos - base[None, :]
+    return loopset._wrap(rel) if surface.kind == "torus" else rel
+
+
 def ref_loopset(surface, x0, n, t_max, tol, seed, t_min, h=1e-3):
-    """(first return times, min distances, energy drift, constraint drift)."""
+    """(first return times, min distances, energy drift, constraint drift,
+    Clairaut drift)."""
     angles = ref_angles(n, seed)
     pos, v = loopset._launch(surface, np.asarray(x0, dtype=float), angles)
     base = pos[0]
-    torus = surface.kind == "torus"
-    rel = loopset._wrap(pos - base[None, :]) if torus else pos - base[None, :]
+    rel = ref_offset(surface, pos, base)
     min_d = np.full(n, np.inf)
     ret_t = np.full(n, -1.0)
-    drift = level = 0.0
-    steps = int(round(t_max / h))
-    for step, (new_pos, energy, lvl) in enumerate(
+    drift = level = clairaut = 0.0
+    end = t_max / h
+    steps = math.ceil(end)
+    for step, (new_pos, energy, lvl, lz) in enumerate(
             ref_march(surface, pos, v, steps, h)):
         drift, level = max(drift, energy), max(level, lvl)
+        clairaut = max(clairaut, lz)
         delta = new_pos - pos
         t0 = step * h
         if t0 + h >= t_min:
@@ -387,14 +502,19 @@ def ref_loopset(surface, x0, n, t_max, tol, seed, t_min, h=1e-3):
             else:
                 seg_start, seg_delta = rel, delta
                 seg_t0, seg_len = t0, h
+            # the last step straddles t_max unless t_max / h is whole
+            if step == steps - 1 and end < steps:
+                frac = (t_max - seg_t0) / seg_len
+                seg_delta = frac * seg_delta
+                seg_len = t_max - seg_t0
             d, s = ref_segment_min(seg_start, seg_delta)
             np.minimum(min_d, d, out=min_d)
             hit = (ret_t < 0.0) & (d <= tol)
             if np.any(hit):
                 ret_t[hit] = seg_t0 + s[hit] * seg_len
-        rel = loopset._wrap(rel + delta) if torus else new_pos - base[None, :]
+        rel = ref_offset(surface, new_pos, base)
         pos = new_pos
-    return ret_t, min_d, drift, level
+    return ret_t, min_d, drift, level, clairaut
 
 
 def ref_path(surface, x0, angle, t_max, h=1e-3):
@@ -403,7 +523,7 @@ def ref_path(surface, x0, angle, t_max, h=1e-3):
     steps = int(round(t_max / h))
     positions = [x[0]]
     drift = 0.0
-    for x, energy, _ in ref_march(surface, x, v, steps, h):
+    for x, energy, _, _ in ref_march(surface, x, v, steps, h):
         positions.append(x[0])
         drift = max(drift, energy)
     return np.array(positions), drift
@@ -436,9 +556,19 @@ def step_count(kind, b):
 STEP_KINDS = ["one", "b-1", "b", "b+1", "2b+3"]
 
 
+def assert_loopset_equal(got, want):
+    ret_t, min_d, drift, level, clairaut = want
+    assert np.array_equal(bits(got.first_return_times), bits(ret_t))
+    assert np.array_equal(bits(got.min_distances), bits(min_d))
+    assert got.max_energy_drift == drift
+    assert got.max_constraint_drift == level
+    assert got.max_clairaut_drift == clairaut
+
+
 class TestBlockedMarch:
     # the blocked march must give every output bit for bit as the
-    # step-by-step march above, whatever the block boundaries cut
+    # step-by-step march above, whatever the block boundaries cut: RK4 on
+    # the ellipsoids, the closed forms on the sphere and the torus
 
     @pytest.mark.parametrize("surface", SURFACES, ids=SURFACE_IDS)
     @pytest.mark.parametrize("n", [1, 7, 64, 300])
@@ -463,12 +593,8 @@ class TestBlockedMarch:
         tol = t_min + 2e-4
         got = loopset_fraction(surface, x0, n, steps * h, tol, seed=4,
                                t_min=t_min)
-        ret_t, min_d, drift, level = ref_loopset(surface, x0, n, steps * h,
-                                                 tol, 4, t_min)
-        assert np.array_equal(bits(got.first_return_times), bits(ret_t))
-        assert np.array_equal(bits(got.min_distances), bits(min_d))
-        assert got.max_energy_drift == drift
-        assert got.max_constraint_drift == level
+        want = ref_loopset(surface, x0, n, steps * h, tol, 4, t_min)
+        assert_loopset_equal(got, want)
 
     # geodesics that come back after t = 5: the first-return search runs
     # in blocks well past t_min (0.1, where every distance is near 0.1)
@@ -478,13 +604,9 @@ class TestBlockedMarch:
         ids=SURFACE_IDS)
     def test_long_loopset_bit_equal_to_step_by_step(self, surface, x0, tol):
         got = loopset_fraction(surface, x0, 64, 6.5, tol, seed=1)
-        ret_t, min_d, drift, level = ref_loopset(surface, x0, 64, 6.5, tol,
-                                                 1, 0.1)
-        assert np.any(ret_t > 5.0)     # the check is not vacuous
-        assert np.array_equal(bits(got.first_return_times), bits(ret_t))
-        assert np.array_equal(bits(got.min_distances), bits(min_d))
-        assert got.max_energy_drift == drift
-        assert got.max_constraint_drift == level
+        want = ref_loopset(surface, x0, 64, 6.5, tol, 1, 0.1)
+        assert np.any(want[0] > 5.0)     # the check is not vacuous
+        assert_loopset_equal(got, want)
 
     @pytest.mark.parametrize("surface", SURFACES, ids=SURFACE_IDS)
     @pytest.mark.parametrize("steps_kind", STEP_KINDS)
@@ -502,8 +624,7 @@ class TestGuardTiming:
     # a guard that sees a whole block must still raise at the first step
     # past its tolerance, with that step's value: the step-by-step march
     # raises the same message
-    @pytest.mark.parametrize("name, what", [("_ENERGY_TOL", "energy"),
-                                            ("_CONSTRAINT_TOL", "constraint")])
+    @pytest.mark.parametrize("name, what", GUARD_CASES)
     @pytest.mark.parametrize("n", [1, 8])
     def test_first_violation_mid_block(self, monkeypatch, name, what, n):
         h, steps = 1e-3, 1500
@@ -512,7 +633,7 @@ class TestGuardTiming:
         x0 = np.array([1.0, 0.3])
         angles = np.zeros(1) if n == 1 else ref_angles(n, 5)
         pos, v = loopset._launch(surface, x0, angles)
-        column = 1 if what == "energy" else 2
+        column = 1 + [case[1] for case in GUARD_CASES].index(what)
         drifts = np.array([r[column] for r in
                            ref_march(surface, pos, v, steps, h)])
         # a step that sets a new record mid-block, in a block that later

@@ -1,4 +1,5 @@
-"""Package layout: no module of specproj reaches into another's private names.
+"""Package layout: no module of specproj reaches into another's private names,
+and importing the package loads no third-party module but numpy.
 
 A name with a leading underscore is private to the module that defines
 it.  Each module is parsed with ast, and every name it takes from another
@@ -7,6 +8,9 @@ specproj module, must be public; dunders such as __version__ are public.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,3 +71,20 @@ def test_no_private_cross_module_imports(path):
         "dunder-and-foreign"])
 def test_the_check_sees_private_names(source, names):
     assert private_imports(source) == names
+
+
+def test_import_loads_no_third_party_module_but_numpy():
+    # every CLI run pays the package's import time; count the top-level
+    # modules that `import specproj, specproj.cli` adds in a fresh
+    # interpreter beyond the standard library (site may load its own)
+    probe = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "import specproj, specproj.cli\n"
+             "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+             "print(' '.join(sorted(new - set(sys.stdlib_module_names))))\n")
+    path = os.pathsep.join([str(PACKAGE_DIR.parent),
+                            os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.split() == ["numpy", "specproj"]
