@@ -3,8 +3,8 @@
 Subcommands kernel / scaling / remainder / randomwave / loopset each read
 one INI config, run the experiment, and write CSV (and JSONL) reports plus
 a manifest.json holding the full config text, the package version, the
-wall time and a metrics block (for loopset, the largest energy and
-constraint drift the integrator's guards saw).  Exit status: 0 success,
+wall time and a metrics block (for loopset, the largest energy,
+constraint and Clairaut drifts the guards saw).  Exit status: 0 success,
 2 validation error, 3 budget error; every failure prints one
 machine-parseable line on stderr.
 """
