@@ -29,14 +29,23 @@ or the closed form's rounding.
 
 The march runs in blocks of b = max(1, 2048 // n) steps for n directions,
 a budget of 2048 stored states whatever n is: one closed-form evaluation,
-or b stacked RK4 steps in buffers allocated once per march.  The guards,
-the closest approach per segment and the first-return search then run
-vectorized over the block.  The result is bit for bit the one of a
-step-by-step march: the guards raise at the first offending step with its
-value, elementwise operations keep their operands and order, sums over
-the d = 2 or 3 coordinates of a point run left to right (the bits of
-np.add.reduce, without its slow loop over a short axis), and min and
-argmax are exact.
+or b stacked RK4 steps.  The guards, the closest approach per segment and
+the first-return search then run vectorized over the block.  The result
+is bit for bit the one of a step-by-step march: the guards raise at the
+first offending step with its value, elementwise operations keep their
+operands and order, sums over the d = 2 or 3 coordinates of a point run
+left to right (the bits of np.add.reduce, without its slow loop over a
+short axis), and min and argmax are exact.
+
+An RK4 step costs numpy call overhead, not arithmetic, so it makes 40
+ufunc calls into buffers, and views of them, built once per march.  They
+are coordinate-major, (3, n) per x, v or a, so a coordinate is one
+contiguous row.  The acceleration takes 7 calls: one multiply by the
+signed diagonal (-A, A) gives (-A x, A v), two more the squares
+(-A x)^2 and (A v) v, two adds their sums over the coordinates, and
+r = v^T A v / |A x|^2 times -A x is the result.  Negation is exact and
+rounding is symmetric, so (-A x)^2 = (A x)^2 and r (-A x) = -(r A x)
+bit for bit, signed zeros included.
 """
 
 from __future__ import annotations
@@ -98,9 +107,20 @@ def _clairaut(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return x[..., 0] * v[..., 1] - x[..., 1] * v[..., 0]
 
 
-def _accel(a: np.ndarray, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    ax = a * x
-    return -(_coord_sum(a * v * v) / _coord_sum(ax * ax))[:, None] * ax
+def _accel(signed: np.ndarray, xv: np.ndarray, v: np.ndarray,
+           out: np.ndarray, scratch: tuple) -> None:
+    """The acceleration -(v^T A v / |A x|^2) A x into out, of shape (3, n),
+    for xv = (x, v) of shape (2, 3, n) whose second entry is v.  signed is
+    (-A, A) spread to (2, 3, n), and scratch holds `_RK4`'s work buffers
+    and their views."""
+    m, nax, av, squares, cols, sums, p, q = scratch
+    np.multiply(signed, xv, out=m)         # (-A x, A v)
+    np.multiply(nax, nax, out=squares[0])
+    np.multiply(av, v, out=squares[1])
+    np.add(cols[0], cols[1], out=sums)     # (|A x|^2, v^T A v)
+    np.add(sums, cols[2], out=sums)
+    np.divide(q, p, out=q)
+    np.multiply(q, nax, out=out)
 
 
 def _flow(torus: bool, x: np.ndarray, v: np.ndarray, t: np.ndarray):
@@ -115,41 +135,61 @@ def _flow(torus: bool, x: np.ndarray, v: np.ndarray, t: np.ndarray):
 
 
 class _RK4:
-    """Stacked RK4 on rows (x, v, a) of shape (3, n, d) whose first two
-    entries are the state y = (x, v).  The last two are then
-    k = (v, a(x, v)), so no stage copies its velocity.  The three inner
-    stages live in buffers allocated once per march."""
+    """Stacked RK4 steps of a block held in rows (x, v, a) of shape
+    (block + 1, 3, 3, n): row i + 1 takes the state (x, v) one step past
+    row i's, and a step writes a(x, v) into row i, so the last two entries
+    of a row are k1 = (v, a) and no stage copies its velocity.  The rows,
+    the three inner stages and the scratch of `_accel` are allocated once
+    per march, and so is every view a step takes."""
 
-    def __init__(self, a: np.ndarray, n: int, dim: int, h: float):
-        self.a = a
+    def __init__(self, a: np.ndarray, x: np.ndarray, v: np.ndarray,
+                 h: float, block: int):
+        n, dim = x.shape
+        self.rows = np.empty((block + 1, 3, dim, n))
+        self.rows[0, :2] = x.T, v.T
+        self.signed = np.empty((2, dim, n))
+        self.signed[0] = -a[:, None]
+        self.signed[1] = a[:, None]
+        m = np.empty((2, dim, n))
+        squares = np.empty((2, dim, n))
+        sums = np.empty((2, n))
+        self.scratch = (m, m[0], m[1], (squares[0], squares[1]),
+                        tuple(squares[:, j] for j in range(dim)), sums,
+                        sums[0], sums[1])
+        # per row and stage: (x, v), v, k = (v, a), a
+        self.row_views = [(r[:2], r[1], r[1:], r[2]) for r in self.rows]
+        stages = np.empty((3, 3, dim, n))
+        self.stage_views = [(s[:2], s[1], s[1:], s[2]) for s in stages]
+        self.k2, self.k3, self.k4 = (s[1:] for s in stages)
+        self.k23 = stages[:2, 1:]
+        self.set_step(h)
+
+    def set_step(self, h: float) -> None:
         self.coeffs = (0.5 * h, 0.5 * h, h)
         self.sixth = h / 6.0
-        self.stages = [np.empty((3, n, dim)) for _ in range(3)]
 
-    def step(self, row: np.ndarray, out: np.ndarray) -> None:
-        """One step from the state in row[:2] into out, of shape (2, n, d).
+    def step(self, i: int) -> None:
+        """One step from the state in row i into row i + 1.
 
         The arithmetic is x + h/6 (((k1x + 2 k2x) + 2 k3x) + k4x), and the
         same for v, term for term and in that order; the stage states are
         y + (h/2) k1, y + (h/2) k2 and y + h k3."""
-        a = self.a
-        y = row[:2]
-        row[2] = _accel(a, row[0], row[1])
-        k = row[1:]
-        for stage, c in zip(self.stages, self.coeffs):
-            state = stage[:2]
+        signed, scratch = self.signed, self.scratch
+        y, v, k1, acc = self.row_views[i]
+        _accel(signed, y, v, acc, scratch)
+        k = k1
+        for (state, sv, sk, sa), c in zip(self.stage_views, self.coeffs):
             np.multiply(c, k, out=state)
             state += y
-            stage[2] = _accel(a, stage[0], stage[1])
-            k = stage[1:]
-        k2, k3, k4 = (stage[1:] for stage in self.stages)
-        k2 *= 2.0
-        k2 += row[1:]
-        k3 *= 2.0
-        k2 += k3
-        k2 += k4
+            _accel(signed, state, sv, sa, scratch)
+            k = sk
+        k2 = self.k2
+        self.k23 *= 2.0
+        k2 += k1
+        k2 += self.k3
+        k2 += self.k4
         k2 *= self.sixth
-        np.add(y, k2, out=out)
+        np.add(y, k2, out=self.row_views[i + 1][0])
 
 
 def _base_frame(surface: SurfaceSpec, x0: np.ndarray):
@@ -188,13 +228,14 @@ def _launch(surface: SurfaceSpec, x0: np.ndarray, angles: np.ndarray):
 
 
 def _march(surface: SurfaceSpec, x: np.ndarray, v: np.ndarray, steps: int,
-           h: float):
+           h: float, t_end: float | None = None):
     """States after 0 .. `steps` steps from (x, v) in blocks of
     max(1, _BLOCK_ROWS // n) steps.  Yields (positions, drifts) per block
     of b steps: positions of shape (b + 1, n, d) from the state before the
     block to the state after it (RK4's are a view of a buffer the next
     block overwrites), and the largest (energy, constraint, Clairaut)
-    drifts so far, the last two 0 on the torus.
+    drifts so far, the last two 0 on the torus.  With t_end the last step
+    is a partial one that ends at t = t_end, in (h (steps - 1), h steps].
 
     Raises ArithmeticError at the first step whose drift exceeds
     _ENERGY_TOL, _CONSTRAINT_TOL or _CLAIRAUT_TOL, in that order, or is NaN
@@ -205,22 +246,27 @@ def _march(surface: SurfaceSpec, x: np.ndarray, v: np.ndarray, steps: int,
     block = max(1, _BLOCK_ROWS // n)
     rk4 = surface.kind == "ellipsoid"
     if rk4:
-        stepper = _RK4(a, n, dim, h)
-        # row i holds (x, v, a(x, v)) after i steps of the block
-        rows = np.empty((block + 1, 3, n, dim))
-        rows[0, :2] = x, v
+        stepper = _RK4(a, x, v, h, block)
+        rows = stepper.rows
     tols = np.array([_ENERGY_TOL, _CONSTRAINT_TOL, _CLAIRAUT_TOL])
     lz = _clairaut(x, v)
     worst = np.zeros(3)
     done = 0
     while done < steps:
         b = min(block, steps - done)
+        partial = t_end is not None and done + b == steps
         if rk4:
-            for i in range(b):
-                stepper.step(rows[i], rows[i + 1, :2])
-            xs, vs = rows[:b + 1, 0], rows[:b + 1, 1]
+            for i in range(b - partial):
+                stepper.step(i)
+            if partial:
+                stepper.set_step(t_end - h * (steps - 1))
+                stepper.step(b - 1)
+            xs, vs = (rows[:b + 1, j].swapaxes(1, 2) for j in (0, 1))
         else:
-            xs, vs = _flow(a is None, x, v, h * np.arange(done, done + b + 1))
+            t = h * np.arange(done, done + b + 1)
+            if partial:
+                t[-1] = t_end
+            xs, vs = _flow(a is None, x, v, t)
         # drifts[g, i]: guard g after step i + 1 of the block
         drifts = np.zeros((3, b))
         drifts[0] = np.abs(_coord_sum(vs[1:] * vs[1:]) - 1.0).max(axis=1)
@@ -267,7 +313,10 @@ def integrate_geodesic(surface: SurfaceSpec, x0, angle: float, t_max: float,
     """Integrate one unit-speed geodesic; returns the embedded path.
 
     x0 is a torus point, or polar (theta, phi) on the sphere/ellipsoid;
-    angle is the launch direction in the tangent frame at x0.
+    angle is the launch direction in the tangent frame at x0.  The path
+    samples t = k h for k = 0 .. floor(t_max / h) and ends at t_max: when
+    t_max / h is not whole, a last partial step of t_max - h floor(t_max / h)
+    reaches it (the closed form at t_max on the torus and the sphere).
     """
     if not (0 < h <= _MAX_STEP):
         raise ValueError(f"step must lie in (0, {_MAX_STEP}]")
@@ -275,16 +324,21 @@ def integrate_geodesic(surface: SurfaceSpec, x0, angle: float, t_max: float,
         raise ValueError("t_max must be > 0")
     x0 = np.asarray(x0, dtype=float)
     x, v = _launch(surface, x0, np.array([float(angle)]))
-    steps = int(round(t_max / h))
+    whole = math.floor(t_max / h)
+    partial = t_max / h > whole
+    steps = whole + partial
     positions = np.empty((steps + 1, surface.embed_dim))
     positions[0] = x[0]
     drift = 0.0
     done = 0
-    for block, (drift, _, _) in _march(surface, x, v, steps, h):
+    for block, (drift, _, _) in _march(surface, x, v, steps, h,
+                                       t_max if partial else None):
         b = block.shape[0] - 1
         positions[done + 1:done + b + 1] = block[1:, 0]
         done += b
     times = h * np.arange(steps + 1)
+    if partial:
+        times[-1] = t_max
     return GeodesicPath(times=times, positions=positions,
                         max_energy_drift=drift)
 

@@ -199,7 +199,8 @@ class TestExitStatuses:
     def test_nan_state_is_1(self, tmp_path, capsys, monkeypatch):
         from specproj import loopset
         monkeypatch.setattr(loopset, "_accel",
-                            lambda a, x, v: np.full_like(v, np.nan))
+                            lambda signed, xv, v, out, scratch:
+                            out.fill(np.nan))
         cfg = write_config(tmp_path, "l.cfg", ELLIPSOID_LOOPSET_CFG)
         code = main(["loopset", "--config", cfg,
                      "--out", str(tmp_path / "out")])

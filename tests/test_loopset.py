@@ -164,6 +164,22 @@ class TestIntegration:
         # measured 7.3e-11 (c = 0.5) and 1.6e-13 (c = 1.7)
         assert np.max(np.abs(turn - lz)) < 1e-9
 
+    @pytest.mark.parametrize("t_max", [6.2834, 6.28255])
+    def test_path_ends_at_t_max(self, t_max):
+        # t_max / h is not whole: floor(t_max / h) steps, then a partial
+        # one to t_max, the closed form on the sphere and RK4 at c = 1
+        x0, angle = (1.0, 0.3), 0.7
+        want = closed_form_geodesic(SurfaceSpec(kind="sphere"), x0, angle,
+                                    [t_max])[0]
+        exact = integrate_geodesic(SurfaceSpec(kind="sphere"), x0, angle,
+                                   t_max)
+        assert exact.times[-1] == t_max
+        assert np.array_equal(exact.positions[-1], want)
+        rk4 = integrate_geodesic(SurfaceSpec(kind="ellipsoid", c=1.0), x0,
+                                 angle, t_max)
+        assert rk4.times[-1] == t_max
+        assert np.max(np.abs(rk4.positions[-1] - want)) < 1e-12
+
     def test_unit_speed_preserved_on_ellipsoid(self):
         surface = SurfaceSpec(kind="ellipsoid", c=0.6)
         path = integrate_geodesic(surface, np.array([0.8, 2.0]), 1.3, 6.0)
@@ -379,7 +395,8 @@ class TestNaN:
         # NaN compares false with everything, so a guard written as
         # `value > tol` would let it pass
         monkeypatch.setattr(loopset, "_accel",
-                            lambda a, x, v: np.full_like(v, np.nan))
+                            lambda signed, xv, v, out, scratch:
+                            out.fill(np.nan))
         surface = SurfaceSpec(kind="ellipsoid", c=1.5)
         with pytest.raises(ArithmeticError, match="energy drift nan"):
             loopset_fraction(surface, np.array([1.0, 0.3]), 4, 0.5, 1e-3)
@@ -412,16 +429,18 @@ def ref_rk4_step(a, x, v, h):
     return x_new, v_new
 
 
-def ref_states(surface, x, v, steps, h):
+def ref_states(surface, x, v, steps, h, t_end=None):
     """The states (x, v) after steps 1 .. steps, one at a time: an RK4
     step on an ellipsoid, the closed form at t = k h on the torus and the
-    sphere."""
+    sphere.  With t_end the last step ends at t = t_end instead."""
     a = loopset._quadric(surface)
     x0, v0 = x, v
     for k in range(1, steps + 1):
-        t = k * h
+        t, dt = k * h, h
+        if t_end is not None and k == steps:
+            t, dt = t_end, t_end - (k - 1) * h
         if surface.kind == "ellipsoid":
-            x, v = ref_rk4_step(a, x, v, h)
+            x, v = ref_rk4_step(a, x, v, dt)
         elif surface.kind == "torus":
             x = x0 + t * v0
         else:
@@ -434,13 +453,13 @@ def ref_lz(x, v):
     return x[:, 0] * v[:, 1] - x[:, 1] * v[:, 0]
 
 
-def ref_march(surface, x, v, steps, h):
+def ref_march(surface, x, v, steps, h, t_end=None):
     """Yield (x, energy drift, constraint drift, Clairaut drift) of every
     step, each the step's own value; raise as the guards do, reading the
     tolerances from the module at call time."""
     a = loopset._quadric(surface)
     lz0 = ref_lz(x, v)
-    for x, v in ref_states(surface, x, v, steps, h):
+    for x, v in ref_states(surface, x, v, steps, h, t_end):
         energy = float(np.max(np.abs(np.sum(v * v, axis=1) - 1.0)))
         if not energy <= loopset._ENERGY_TOL:
             raise ArithmeticError(
@@ -520,10 +539,13 @@ def ref_loopset(surface, x0, n, t_max, tol, seed, t_min, h=1e-3):
 def ref_path(surface, x0, angle, t_max, h=1e-3):
     x, v = loopset._launch(surface, np.asarray(x0, dtype=float),
                            np.array([float(angle)]))
-    steps = int(round(t_max / h))
+    # whole steps to floor(t_max / h), then a partial one to t_max
+    whole = math.floor(t_max / h)
+    partial = t_max / h > whole
     positions = [x[0]]
     drift = 0.0
-    for x, energy, _, _ in ref_march(surface, x, v, steps, h):
+    for x, energy, _, _ in ref_march(surface, x, v, whole + partial, h,
+                                     t_max if partial else None):
         positions.append(x[0])
         drift = max(drift, energy)
     return np.array(positions), drift
@@ -565,36 +587,50 @@ def assert_loopset_equal(got, want):
     assert got.max_clairaut_drift == clairaut
 
 
+def check_loopset_bit_equal(surface, n, steps_kind, t_min_kind):
+    # t_min is 0.3 of a step into a segment halfway through the first
+    # block, or exactly on the first block edge past the start (the start
+    # itself when the run is one block or less)
+    h = 1e-3
+    b = block_steps(n)
+    steps = step_count(steps_kind, b)
+    if t_min_kind == "mid-block":
+        t_min = (min(b // 2, steps - 1) + 0.3) * h
+    else:
+        t_min = b * h if steps > b else 0.0
+    x0 = base_point(surface)
+    # t_min + 2e-4 sits between the distance at t_min and the largest
+    # one, so some directions return on the first segment and some
+    # later or never
+    tol = t_min + 2e-4
+    got = loopset_fraction(surface, x0, n, steps * h, tol, seed=4,
+                           t_min=t_min)
+    want = ref_loopset(surface, x0, n, steps * h, tol, 4, t_min)
+    assert_loopset_equal(got, want)
+
+
 class TestBlockedMarch:
     # the blocked march must give every output bit for bit as the
     # step-by-step march above, whatever the block boundaries cut: RK4 on
     # the ellipsoids, the closed forms on the sphere and the torus
 
+    # from 2048 directions on a block is one step in a buffer of two rows
     @pytest.mark.parametrize("surface", SURFACES, ids=SURFACE_IDS)
-    @pytest.mark.parametrize("n", [1, 7, 64, 300])
+    @pytest.mark.parametrize("n", [1, 7, 64, 300, 2048, 2049])
     @pytest.mark.parametrize("steps_kind", STEP_KINDS)
-    # t_min 0.3 of a step into a segment halfway through the first block,
-    # or exactly on the first block edge past the start (the start itself
-    # when the run is one block or less)
     @pytest.mark.parametrize("t_min_kind", ["mid-block", "block-edge"])
     def test_loopset_bit_equal_to_step_by_step(self, surface, n, steps_kind,
                                                t_min_kind):
-        h = 1e-3
-        b = block_steps(n)
-        steps = step_count(steps_kind, b)
-        if t_min_kind == "mid-block":
-            t_min = (min(b // 2, steps - 1) + 0.3) * h
-        else:
-            t_min = b * h if steps > b else 0.0
-        x0 = base_point(surface)
-        # t_min + 2e-4 sits between the distance at t_min and the largest
-        # one, so some directions return on the first segment and some
-        # later or never
-        tol = t_min + 2e-4
-        got = loopset_fraction(surface, x0, n, steps * h, tol, seed=4,
-                               t_min=t_min)
-        want = ref_loopset(surface, x0, n, steps * h, tol, 4, t_min)
-        assert_loopset_equal(got, want)
+        check_loopset_bit_equal(surface, n, steps_kind, t_min_kind)
+
+    # the limits of the axis ratio that the config layer accepts
+    @pytest.mark.parametrize("c", [0.5, 2.0])
+    @pytest.mark.parametrize("n", [7, 2048])
+    @pytest.mark.parametrize("steps_kind", STEP_KINDS)
+    def test_axis_ratio_limits_bit_equal_to_step_by_step(self, c, n,
+                                                        steps_kind):
+        check_loopset_bit_equal(SurfaceSpec(kind="ellipsoid", c=c), n,
+                                steps_kind, "mid-block")
 
     # geodesics that come back after t = 5: the first-return search runs
     # in blocks well past t_min (0.1, where every distance is near 0.1)
@@ -616,6 +652,18 @@ class TestBlockedMarch:
         x0 = base_point(surface)
         got = integrate_geodesic(surface, x0, 0.7, steps * h)
         positions, drift = ref_path(surface, x0, 0.7, steps * h)
+        assert np.array_equal(bits(got.positions), bits(positions))
+        assert got.max_energy_drift == drift
+
+    # t_max / h not whole: a partial last step alone, at the end of the
+    # first block, and alone in a second block
+    @pytest.mark.parametrize("surface", SURFACES, ids=SURFACE_IDS)
+    @pytest.mark.parametrize("t_max", [4e-4, 2.0474, 2.0484])
+    def test_partial_path_bit_equal_to_step_by_step(self, surface, t_max):
+        x0 = base_point(surface)
+        got = integrate_geodesic(surface, x0, 0.7, t_max)
+        positions, drift = ref_path(surface, x0, 0.7, t_max)
+        assert got.times[-1] == t_max
         assert np.array_equal(bits(got.positions), bits(positions))
         assert got.max_energy_drift == drift
 
