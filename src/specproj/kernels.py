@@ -20,11 +20,12 @@ independent adaptive-quadrature route; both are kept on purpose.
 
 Derivatives: one exact mechanism and one batched evaluator per model.
 Torus kernels are differentiated term by term (exact trig factors) in
-torus_pair_deriv_batch; torus_cumulative_batch runs the same sums over the
-nested windows of a cumulative sweep.  sphere_deriv_batch composes the
-t-derivatives of a profile of t = <x, y> with closed-form jets of the
-exponential map by Faa di Bruno's formula.  projector_kernel_deriv turns
-offset rows (x0, us, vs) into a call of either for both models.
+torus_pair_deriv_batch; torus_cumulative_batch runs the same sums over a
+cumulative sweep in uncached blocks of whole shells |k|^2, so one block
+sets its memory.  sphere_deriv_batch composes the t-derivatives of a
+profile of t = <x, y> with closed-form jets of the exponential map by Faa
+di Bruno's formula.  projector_kernel_deriv turns offset rows (x0, us, vs)
+into a call of either for both models.
 """
 
 from __future__ import annotations
@@ -42,12 +43,15 @@ from .models import (
     SphereModel,
     SpectralWindow,
     TorusModel,
+    check_torus_budget,
     distance,
     exp_map,
     sphere_clusters,
+    squared_norm_range,
     tangent_frame,
     tangent_norm,
     torus_modes,
+    torus_shells,
 )
 from .special import (
     SphereQuadrature,
@@ -60,8 +64,10 @@ from .special import (
 TWO_PI = 2.0 * math.pi
 MAX_DERIV_ORDER = 4
 
-# chunk size (in floats) for mode-by-pair phase matrices
-_CHUNK_BUDGET = 4_000_000
+# chunk size (in floats) for mode-by-pair phase matrices, and the modes of
+# one shell block of a cumulative sweep: 16 rows fill one phase matrix
+_CHUNK_BUDGET = 2 ** 20
+_BLOCK_MODES = _CHUNK_BUDGET // 16
 
 
 @dataclass(frozen=True)
@@ -145,6 +151,7 @@ def _torus_deriv_sum(vectors: np.ndarray, diffs: np.ndarray,
         if weights is not None:
             terms *= weights
         out[start:start + chunk] = np.sum(terms, axis=1)
+        del terms       # so that the next chunk's table replaces this one
     return out
 
 
@@ -475,29 +482,39 @@ def torus_cumulative_batch(model: TorusModel, lambdas, diffs: np.ndarray,
                            order: DerivOrder) -> np.ndarray:
     """Cumulative-kernel derivatives E_(0,lam] for each lam, in one pass.
 
-    lambdas must not decrease.  The windows (lam_{j-1}, lam_j], the first
-    being (0, lam_1], are disjoint runs of shells, so each is enumerated
-    and summed once, and the raw mode sums are carried across them with
-    Neumaier compensation; the volume divides once per lam.  Returns shape
-    (len(lambdas), rows).  With one lam the carry is 0 + part, so the
-    values are torus_pair_deriv_batch's on (0, lam].
+    lambdas must not decrease, and the budget of (0, max lam] is checked
+    first.  The shells 0 < |k|^2 <= max lam^2 are walked once by
+    torus_shells in blocks of about _BLOCK_MODES modes (by the ball volume
+    omega_n m^(n/2)), each floor(lam_j^2) ending one; a block is summed and
+    dropped, and the raw sums are carried across blocks with Neumaier
+    compensation.  Returns shape (len(lambdas), rows).  A lam whose (0, lam]
+    is one block gets torus_pair_deriv_batch's values on (0, lam].
     """
+    tops, lo = [0], 0.0
+    for lam in lambdas:
+        if lam < lo:
+            raise ValueError("lambdas must not decrease")
+        tops.append(squared_norm_range(SpectralWindow(lo, lam))[1]
+                    if lam > lo else tops[-1])
+        lo = max(lo, lam)
+    check_torus_budget(model, tops[-1])
+    half = 0.5 * model.n
+    omega = math.pi ** half / math.gamma(half + 1.0)
     out = np.empty((len(lambdas), diffs.shape[0]))
     total = np.zeros(diffs.shape[0])
     comp = np.zeros(diffs.shape[0])
-    lo = 0.0
-    for j, lam in enumerate(lambdas):
-        if lam < lo:
-            raise ValueError("lambdas must not decrease")
-        if lam > lo:
-            part = _torus_deriv_sum(
-                torus_modes(model, SpectralWindow(lo, lam)).vectors, diffs,
-                order.alpha, order.beta)
+    below = 0
+    for j, top in enumerate(tops[1:]):
+        while below < top:
+            m_max = min(top, math.ceil(
+                (below ** half + _BLOCK_MODES / omega) ** (1.0 / half)))
+            part = _torus_deriv_sum(torus_shells(model, below + 1, m_max),
+                                    diffs, order.alpha, order.beta)
             carried = total + part
             comp += np.where(np.abs(total) >= np.abs(part),
                              (total - carried) + part,
                              (part - carried) + total)
-            total, lo = carried, lam
+            total, below = carried, m_max
         out[j] = (total + comp) / model.volume
     return out
 

@@ -12,7 +12,9 @@ in exact integer arithmetic: |k| lies in (lo, hi] iff the integer |k|^2
 lies in [floor(lo^2)+1, floor(hi^2)], with lo^2 and hi^2 squared exactly
 as rationals.  The same trick handles l*(l+1) on the sphere, so window
 boundaries that collide with eigenfrequencies are resolved without any
-floating-point tie-breaking.
+floating-point tie-breaking.  torus_shells walks any integer range of
+shells m_min <= |k|^2 <= m_max, uncached, so a caller can stream a ball
+in blocks of whole shells; torus_modes is its cached one-window call.
 """
 
 from __future__ import annotations
@@ -186,30 +188,34 @@ def _fill_runs(column: np.ndarray, at: np.ndarray, first: np.ndarray,
     np.cumsum(column, out=column)
 
 
-@lru_cache(maxsize=128)
-def torus_modes(model: TorusModel, window: SpectralWindow) -> ModeList:
-    """Enumerate integer vectors k with |k| in the window.
+def check_torus_budget(model: TorusModel, m_max: int) -> None:
+    """Refuse a torus walk to |k|^2 = m_max above MAX_FREQUENCY^2 or with
+    more than MAX_BOX_CANDIDATES points in its bounding box."""
+    if not isinstance(model, TorusModel):
+        raise TypeError("torus enumeration needs a TorusModel")
+    if m_max > MAX_FREQUENCY ** 2:
+        raise BudgetError(f"|k|^2={m_max} exceeds the frequency budget "
+                          f"{MAX_FREQUENCY:g}^2")
+    box = (2 * math.isqrt(m_max) + 1) ** model.n
+    if box > MAX_BOX_CANDIDATES:
+        raise BudgetError(f"bounding box has {box} candidates "
+                          f"(budget {MAX_BOX_CANDIDATES})")
+
+
+def torus_shells(model: TorusModel, m_min: int, m_max: int) -> np.ndarray:
+    """Integer vectors k with m_min <= |k|^2 <= m_max, uncached.
 
     Walks the prefixes p = (k_1..k_{n-1}) of the ball |k|^2 <= m_max in
     lexicographic order; for each, the last coordinate takes the runs
     [-b, -a] and [a, b] with b = isqrt(m_max - |p|^2) and
     a = ceil(sqrt(m_min - |p|^2)), or the one run [-b, b] when a = 0, in
-    exact integer arithmetic, so an annulus costs its own modes and not
+    exact integer arithmetic, so a shell range costs its own modes and not
     its ball's.  The vectors are written column by column into one
     read-only float64 array, exact because |k|^2 <= MAX_FREQUENCY^2, and
     their lexicographic order makes the downstream summation order
-    reproducible.
+    reproducible.  The budget is checked before anything is allocated.
     """
-    if not isinstance(model, TorusModel):
-        raise TypeError("torus_modes needs a TorusModel")
-    _check_window_budget(window)
-    box_side = 2 * math.ceil(window.hi) + 1
-    if box_side ** model.n > MAX_BOX_CANDIDATES:
-        raise BudgetError(
-            f"bounding box has {box_side ** model.n} candidates "
-            f"(budget {MAX_BOX_CANDIDATES})"
-        )
-    m_min, m_max = squared_norm_range(window)
+    check_torus_budget(model, m_max)
     n = model.n
     vectors = np.zeros((0, n))
     if m_min <= m_max:
@@ -219,7 +225,7 @@ def torus_modes(model: TorusModel, window: SpectralWindow) -> ModeList:
         a = np.where(rest > 0, _isqrt(np.maximum(rest - 1, 0)) + 1, 0)
         length = np.where(a > 0, b - a + 1, 2 * b + 1)
         # the runs in order: [-b, -a] then [a, b] where a > 0, else [-b, b];
-        # a prefix whose line misses the annulus (a > b) has none
+        # a prefix whose line misses the shells (a > b) has none
         owner = np.repeat(np.arange(sq.size),
                           np.where(length > 0, 1 + (a > 0), 0))
         second = np.zeros(owner.size, dtype=bool)
@@ -233,7 +239,14 @@ def torus_modes(model: TorusModel, window: SpectralWindow) -> ModeList:
                 _fill_runs(vectors[:, i], at, prefixes[owner, i], 0.0)
             _fill_runs(vectors[:, -1], at, first, 1.0)
     vectors.setflags(write=False)
-    return ModeList(vectors=vectors)
+    return vectors
+
+
+@lru_cache(maxsize=128)
+def torus_modes(model: TorusModel, window: SpectralWindow) -> ModeList:
+    """Integer vectors k with |k| in the window, by torus_shells; cached."""
+    _check_window_budget(window)
+    return ModeList(vectors=torus_shells(model, *squared_norm_range(window)))
 
 
 def lead_sign(rows) -> np.ndarray:

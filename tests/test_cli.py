@@ -174,6 +174,18 @@ class TestExitStatuses:
         assert code == 3
         assert "error kind=budget" in capsys.readouterr().err
 
+    def test_torus3_box_budget_is_3(self, tmp_path, capsys):
+        # lambda_max = 600 passes the config's frequency budget, and the
+        # torus3 bounding box of the swept shells (1201^3 points) is refused
+        text = (REMAINDER_CFG.replace("torus2", "torus3")
+                .replace("x0 = 0.0,0.0", "x0 = 0.0,0.0,0.0")
+                .replace("lambdas = 10,20,40,80", "lambdas = 10,20,40,600"))
+        cfg = write_config(tmp_path, "box.cfg", text)
+        code = main(["remainder", "--config", cfg,
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "error kind=budget" in capsys.readouterr().err
+
     def test_missing_file_is_2(self, tmp_path, capsys):
         code = main(["kernel", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "out")])

@@ -38,12 +38,15 @@ from specproj.kernels import (
     torus_pair_deriv_batch,
 )
 from specproj.models import (
+    BudgetError,
     SphereModel,
     SpectralWindow,
     TorusModel,
     exp_map,
     sphere_clusters,
+    squared_norm_range,
     torus_modes,
+    torus_shells,
 )
 from specproj.special import legendre_weighted_sum, sphere_quadrature
 
@@ -350,6 +353,82 @@ class TestTorusCumulative:
                      * np.sum(np.abs(np.prod(k ** gamma, axis=1)))
                      / self.model.volume)
             assert np.max(np.abs(row - want)) <= bound
+
+    @staticmethod
+    def counted_blocks(monkeypatch):
+        """Patch kernels.torus_shells to record each block's shell range
+        (m_min, m_max); returns the list they go to."""
+        blocks = []
+
+        def counting(model, m_min, m_max):
+            blocks.append((m_min, m_max))
+            return torus_shells(model, m_min, m_max)
+
+        monkeypatch.setattr(kernels, "torus_shells", counting)
+        return blocks
+
+    @pytest.mark.parametrize("n, lams, alpha, beta", [
+        (2, (150.0, 300.0), (1, 0), (0, 0)),
+        (2, (150.0, 300.0), (2, 0), (0, 1)),
+        (3, (20.0, 40.0), (1, 0, 0), (0, 0, 1))],
+        ids=["torus2-1:0,0:0", "torus2-2:0,0:1", "torus3-1:0:0,0:0:1"])
+    def test_multi_block_carry_within_summation_bound(self, monkeypatch, n,
+                                                      lams, alpha, beta):
+        # windows of several shell blocks stay within the carry bound of
+        # one pairwise sum over (0, lam]
+        model = TorusModel(n=n)
+        order = DerivOrder(alpha, beta)
+        gamma = np.add(alpha, beta)
+        diffs = np.random.default_rng(9).uniform(-1.0, 1.0, size=(40, n))
+        blocks = self.counted_blocks(monkeypatch)
+        got = torus_cumulative_batch(model, lams, diffs, order)
+        first = squared_norm_range(SpectralWindow(0.0, lams[0]))[1]
+        assert sum(m_min > first for m_min, _ in blocks) >= 3
+        for row, lam in zip(got, lams):
+            window = SpectralWindow(0.0, lam)
+            want = torus_pair_deriv_batch(model, window, diffs, order)
+            k = torus_modes(model, window).vectors
+            bound = (64 * np.finfo(float).eps
+                     * np.sum(np.abs(np.prod(k ** gamma, axis=1)))
+                     / model.volume)
+            assert np.max(np.abs(row - want)) <= bound
+        torus_modes.cache_clear()
+
+    @pytest.mark.parametrize("n, lams, alpha, beta", [
+        (2, (100.0, 300.0), (0, 0), (0, 0)),
+        (2, (100.0, 300.0), (2, 0), (0, 1)),
+        (3, (20.0, 40.0), (1, 0, 0), (0, 0, 0))],
+        ids=["torus2-0:0,0:0", "torus2-2:0,0:1", "torus3-1:0:0,0:0:0"])
+    def test_row_alone_bit_equal_to_row_in_batch(self, monkeypatch, n, lams,
+                                                 alpha, beta):
+        # the block edges do not depend on the rows, and each row's sums
+        # do not depend on its neighbours.  A one-row phase table is a
+        # matrix-vector product, which numpy may round differently from a
+        # matrix product; dyadic separations make every <k, d> exact, so
+        # only the summation order could tell the two calls apart
+        model = TorusModel(n=n)
+        order = DerivOrder(alpha, beta)
+        diffs = np.random.default_rng(10).integers(-64, 65, (41, n)) / 64.0
+        blocks = self.counted_blocks(monkeypatch)
+        batch = torus_cumulative_batch(model, lams, diffs, order)
+        assert len(blocks) >= 4
+        for i, row in enumerate(diffs):
+            alone = torus_cumulative_batch(model, lams, row[None, :], order)
+            assert np.array_equal(alone.view(np.uint64),
+                                  batch[:, i:i + 1].view(np.uint64))
+
+    @pytest.mark.parametrize("n, lams", [(2, (10.0, 2.0e4)),
+                                         (3, (10.0, 600.0))],
+                             ids=["frequency", "torus3-box"])
+    def test_budget_refused_before_any_block(self, monkeypatch, n, lams):
+        def refuse(*args):
+            raise AssertionError("a block was enumerated before the budget "
+                                 "check")
+
+        monkeypatch.setattr(kernels, "torus_shells", refuse)
+        with pytest.raises(BudgetError):
+            torus_cumulative_batch(TorusModel(n=n), lams, np.zeros((1, n)),
+                                   DerivOrder.zero(n))
 
     def test_repeated_and_decreasing_lambdas(self):
         order = DerivOrder.zero(2)

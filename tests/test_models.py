@@ -28,6 +28,7 @@ from specproj.models import (
     tangent_frame,
     torus_modes,
     torus_separation,
+    torus_shells,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -208,6 +209,21 @@ class TestWindows:
         with pytest.raises(ValueError):
             vectors[0, 0] = 99
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_shell_ranges_equal_box_scan(self, n):
+        # torus_shells(m_min, m_max) in lexicographic order; [4, 3] is an
+        # empty range, and [7, 7] holds no point in 2 or 3 dimensions
+        axis = np.arange(-5, 6)
+        grids = np.meshgrid(*([axis] * n), indexing="ij")
+        box = np.stack([g.ravel() for g in grids], axis=1)
+        sq = np.sum(box * box, axis=1)
+        for m_min, m_max in ((1, 3), (4, 3), (4, 6), (7, 7), (8, 25)):
+            vectors = torus_shells(TorusModel(n=n), m_min, m_max)
+            assert vectors.dtype == np.float64
+            assert not vectors.flags.writeable
+            assert np.array_equal(vectors,
+                                  box[(m_min <= sq) & (sq <= m_max)])
+
     def test_budget_errors(self):
         with pytest.raises(BudgetError):
             torus_modes(TorusModel(n=2), SpectralWindow(0.0, 2.0e4))
@@ -215,6 +231,10 @@ class TestWindows:
             sphere_clusters(SphereModel(), SpectralWindow(0.0, 1.1e4))
         with pytest.raises(BudgetError):
             torus_modes(TorusModel(n=3), SpectralWindow(0.0, 9.0e3))
+        with pytest.raises(BudgetError):
+            torus_shells(TorusModel(n=2), 10 ** 8, 10 ** 8 + 1)
+        with pytest.raises(BudgetError):
+            torus_shells(TorusModel(n=3), 600 ** 2, 600 ** 2)
 
 
 class TestGeometry:

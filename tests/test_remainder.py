@@ -6,6 +6,8 @@ assembled field; fits are validated on synthetic exact power laws.
 """
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -31,6 +33,7 @@ from specproj.models import (
     tangent_frame,
     torus_modes,
     torus_separation,
+    torus_shells,
 )
 from specproj.remainder import (
     ExponentFit,
@@ -234,6 +237,7 @@ class TestRemainderBatch:
             raise AssertionError("a window was enumerated")
 
         monkeypatch.setattr(kernels, "torus_modes", refuse)
+        monkeypatch.setattr(kernels, "torus_shells", refuse)
         monkeypatch.setattr(remainder, "sphere_clusters", refuse)
         x0 = np.zeros(2) if isinstance(model, TorusModel) else [0.0, 0.0, 1.0]
         xs = exp_map(model, x0, self.xs)
@@ -377,19 +381,55 @@ class TestOnePassSweep:
         (2, tuple(np.geomspace(5.0, 80.0, 21))),
         (3, tuple(np.geomspace(3.0, 15.0, 11)))], ids=["torus2", "torus3"])
     def test_every_mode_enumerated_once(self, monkeypatch, n, lams):
+        # one walk of contiguous, disjoint shell blocks over (0, lam_max],
+        # and no cached window
         model = TorusModel(n=n)
-        counts = []
+        blocks = []
 
-        def counting(model, window):
-            modes = torus_modes(model, window)
-            counts.append(modes.count)
-            return modes
+        def counting(model, m_min, m_max):
+            vectors = torus_shells(model, m_min, m_max)
+            squares = np.sum(vectors ** 2, axis=1)
+            assert np.all((m_min <= squares) & (squares <= m_max))
+            blocks.append((m_min, m_max, vectors.shape[0]))
+            return vectors
 
-        monkeypatch.setattr(kernels, "torus_modes", counting)
+        def refuse(*args):
+            raise AssertionError("a cached window was enumerated")
+
+        monkeypatch.setattr(kernels, "torus_shells", counting)
+        monkeypatch.setattr(kernels, "torus_modes", refuse)
         remainder_sweep(model, np.zeros(n), ProbeGrid(0.1, 2), lams,
                         DerivOrder((1,) + (0,) * (n - 1), (0,) * n))
-        assert len(counts) == len(lams)
+        m_min, m_max, counts = (list(column) for column in zip(*blocks))
+        assert len(blocks) >= len(lams)
+        assert m_min[0] == 1
+        assert m_min[1:] == [top + 1 for top in m_max[:-1]]
+        assert all(low <= top for low, top in zip(m_min, m_max))
+        assert m_max[-1] == math.floor(Fraction(lams[-1]) ** 2)
         assert sum(counts) == counting_function(model, lams[-1]) - 1
+
+    @pytest.mark.parametrize("n, x0, points, top, alpha, bound_mb", [
+        (2, (1.3, 0.2), 1, 600.0, (0, 0), 4.0),
+        (2, (0.3, 6.1), 3, 400.0, (1, 0), 12.0),
+        (3, (0.3, 6.1, 2.0), 2, 40.0, (1, 0, 0), 14.0)],
+        ids=["torus2-diagonal", "torus2-d1", "torus3-d1"])
+    def test_sweep_memory_set_by_one_block(self, n, x0, points, top, alpha,
+                                           bound_mb):
+        # the shell blocks are summed and dropped, and no window is cached.
+        # Measured peaks: 2.3, 8.4 and 9.5 MB; with every window cached and
+        # the largest one built whole they were 22.6, 36.2 and 27.2 MB
+        model = TorusModel(n=n)
+        torus_modes.cache_clear()
+        tracemalloc.start()
+        try:
+            remainder_sweep(model, np.array(x0), ProbeGrid(0.1, points),
+                            tuple(np.geomspace(top / 16.0, top, 9)),
+                            DerivOrder(alpha, (0,) * n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mb * 1e6
+        assert torus_modes.cache_info().currsize == 0
 
     @pytest.mark.parametrize("lams", [(10.0, 20.0, 20.0, 40.0),
                                       (10.0, 40.0, 20.0, 80.0)],
@@ -403,6 +443,7 @@ class TestOnePassSweep:
             raise AssertionError("a window was enumerated")
 
         monkeypatch.setattr(kernels, "torus_modes", refuse)
+        monkeypatch.setattr(kernels, "torus_shells", refuse)
         monkeypatch.setattr(remainder, "sphere_clusters", refuse)
         with pytest.raises(ValueError, match="strictly increasing"):
             remainder_sweep(model, x0, ProbeGrid(0.1, 2), lams)
