@@ -47,6 +47,7 @@ from .models import BudgetError, Model, SpectralWindow, TorusModel, exp_map
 from .randomwave import ensemble_summary_rows, sample_ensemble
 from .remainder import ProbeGrid, remainder_sweep
 from .reports import (
+    FLOAT_FORMAT,
     atomic_write_bytes,
     atomic_write_text,
     write_csv,
@@ -110,18 +111,22 @@ def _run_kernel(config: KernelConfig, out_dir: Path,
                 metrics: dict) -> list[str]:
     model = config.model
     x0 = np.asarray(config.x0, dtype=float)
-    us, vs = ProbeGrid(radius=config.probe_radius,
-                       points_per_axis=config.points_per_axis).pairs(model.dim)
+    probe = ProbeGrid(radius=config.probe_radius,
+                      points_per_axis=config.points_per_axis)
+    us, vs = probe.pairs(model.dim)
     order = DerivOrder(alpha=config.alpha, beta=config.beta)
     values = projector_kernel_deriv(model, config.window, x0, us, vs, order)
     dim = model.dim
     header = ([f"u_{i + 1}" for i in range(dim)]
               + [f"v_{i + 1}" for i in range(dim)]
               + ["alpha", "beta", "value"])
-    alpha_text = format_multi_index(config.alpha)
-    beta_text = format_multi_index(config.beta)
-    rows = [tuple(u) + tuple(v) + (alpha_text, beta_text, value)
-            for u, v, value in zip(us.tolist(), vs.tolist(), values.tolist())]
+    orders = (format_multi_index(config.alpha),
+              format_multi_index(config.beta))
+    # each offset's cells formatted once, paired in ProbeGrid.pairs' order
+    cells = [tuple(FLOAT_FORMAT % x for x in offset)
+             for offset in probe.offsets(dim).tolist()]
+    pairs = [u + v + orders for u in cells for v in cells]
+    rows = [pair + (value,) for pair, value in zip(pairs, values.tolist())]
     write_csv(out_dir / "kernel_field.csv", header, rows)
     return ["kernel_field.csv"]
 

@@ -24,8 +24,9 @@ torus_pair_deriv_batch; torus_cumulative_batch runs the same sums over a
 cumulative sweep in uncached blocks of whole shells |k|^2, so one block
 sets its memory.  sphere_deriv_batch composes the t-derivatives of a
 profile of t = <x, y> with closed-form jets of the exponential map by Faa
-di Bruno's formula.  projector_kernel_deriv turns offset rows (x0, us, vs)
-into a call of either for both models.
+di Bruno's formula, jets once per distinct offset at one base point.
+projector_kernel_deriv turns offset rows (x0, us, vs) into a call of
+either for both models.
 """
 
 from __future__ import annotations
@@ -220,6 +221,23 @@ def _exp_map_jets(x0, u, point, top: tuple[int, ...]) -> dict:
     return jets
 
 
+def _offset_jets(model: SphereModel, x0, rows: np.ndarray,
+                 top: tuple[int, ...]) -> dict:
+    """_exp_map_jets of exp_x0 at offset rows (the point for a zero top),
+    at one base point once per distinct row read as a complex number; -0.0
+    and 0.0 fall together, moving only signs of zeros no result keeps."""
+    inverse = slice(None)
+    if np.ndim(x0) == 1:
+        keys, inverse = np.unique(
+            np.ascontiguousarray(rows).view(complex)[..., 0],
+            return_inverse=True)
+        inverse = inverse.reshape(rows.shape[:-1])
+        rows = keys.view(float).reshape(-1, model.dim)
+    point = exp_map(model, x0, rows)
+    jets = _exp_map_jets(x0, rows, point, top) if any(top) else {top: point}
+    return {a: jet[inverse] for a, jet in jets.items()}
+
+
 def sphere_deriv_batch(model: SphereModel, xu, xv, profile, us, vs,
                        order: DerivOrder) -> np.ndarray:
     """Derivatives of F(<exp_xu(u), exp_xv(v)>) at offset rows us, vs.
@@ -228,21 +246,19 @@ def sphere_deriv_batch(model: SphereModel, xu, xv, profile, us, vs,
     on u and beta on v in their normal coordinates.  profile(t, k), which
     must be elementwise in t, returns F^(j)(t) for j = 0..k along a leading
     axis, and may hold one more (one row per window, say), as then does the
-    result; it runs once, on the distinct t of one pair of exp_map calls.
-    t is bilinear, so in faa_di_bruno a block of slots taking a from u and
-    b from v contributes <d^a X, d^b Y>, and the result is exact.
+    result; it runs once, on the distinct t of the per-offset jets.  t is
+    bilinear, so in faa_di_bruno a block of slots taking a from u and b
+    from v contributes <d^a X, d^b Y>, and the result is exact.
     """
-    us = np.asarray(us, dtype=float)
-    vs = np.asarray(vs, dtype=float)
-    points = exp_map(model, xu, us), exp_map(model, xv, vs)
-    t = np.sum(points[0] * points[1], axis=-1)
+    jets_u = _offset_jets(model, xu, np.asarray(us, dtype=float),
+                          order.alpha)
+    jets_v = _offset_jets(model, xv, np.asarray(vs, dtype=float), order.beta)
+    t = np.sum(jets_u[(0,) * model.dim] * jets_v[(0,) * model.dim], axis=-1)
     distinct, inverse = np.unique(np.clip(t, -1.0, 1.0), return_inverse=True)
     vals = profile(distinct, order.omega).take(inverse.reshape(t.shape),
                                                axis=-1)
     if not order.omega:
         return vals[0]
-    jets_u = _exp_map_jets(xu, us, points[0], order.alpha)
-    jets_v = _exp_map_jets(xv, vs, points[1], order.beta)
     # one row per slot: the unit multi-index (on u, then on v) it adds
     slots = np.repeat(np.eye(2 * model.dim, dtype=int),
                       order.alpha + order.beta, axis=0)

@@ -37,12 +37,13 @@ operands and order, sums over the d = 2 or 3 coordinates of a point run
 left to right (the bits of np.add.reduce, without its slow loop over a
 short axis), and min and argmax are exact.
 
-An RK4 step costs numpy call overhead, not arithmetic, so it makes 40
-ufunc calls into buffers, and views of them, built once per march.  They
-are coordinate-major, (3, n) per x, v or a, so a coordinate is one
-contiguous row.  The acceleration takes 7 calls: one multiply by the
-signed diagonal (-A, A) gives (-A x, A v), two more the squares
-(-A x)^2 and (A v) v, two adds their sums over the coordinates, and
+An RK4 step costs numpy call overhead, not arithmetic, so it makes 36
+ufunc calls (out positional, scalars 0-d) into contiguous buffers, and
+views of them, built once per march.  They are coordinate-major, (3, n)
+per x, v or a, so a coordinate is one contiguous row.  The acceleration
+takes 6 calls: one multiply by the signed diagonal (-A, A) gives
+(-A x, A v), two more the squares (-A x)^2 and (A v) v, an add.reduce
+over the middle, coordinate axis (left to right) their sums, and
 r = v^T A v / |A x|^2 times -A x is the result.  Negation is exact and
 rounding is symmetric, so (-A x)^2 = (A x)^2 and r (-A x) = -(r A x)
 bit for bit, signed zeros included.
@@ -113,14 +114,13 @@ def _accel(signed: np.ndarray, xv: np.ndarray, v: np.ndarray,
     for xv = (x, v) of shape (2, 3, n) whose second entry is v.  signed is
     (-A, A) spread to (2, 3, n), and scratch holds `_RK4`'s work buffers
     and their views."""
-    m, nax, av, squares, cols, sums, p, q = scratch
-    np.multiply(signed, xv, out=m)         # (-A x, A v)
-    np.multiply(nax, nax, out=squares[0])
-    np.multiply(av, v, out=squares[1])
-    np.add(cols[0], cols[1], out=sums)     # (|A x|^2, v^T A v)
-    np.add(sums, cols[2], out=sums)
-    np.divide(q, p, out=q)
-    np.multiply(q, nax, out=out)
+    m, nax, av, squares, nax2, avv, sums, p, q = scratch
+    np.multiply(signed, xv, m)         # (-A x, A v)
+    np.multiply(nax, nax, nax2)
+    np.multiply(av, v, avv)
+    np.add.reduce(squares, 1, None, sums)     # (|A x|^2, v^T A v)
+    np.divide(q, p, q)
+    np.multiply(q, nax, out)
 
 
 def _flow(torus: bool, x: np.ndarray, v: np.ndarray, t: np.ndarray):
@@ -153,20 +153,22 @@ class _RK4:
         m = np.empty((2, dim, n))
         squares = np.empty((2, dim, n))
         sums = np.empty((2, n))
-        self.scratch = (m, m[0], m[1], (squares[0], squares[1]),
-                        tuple(squares[:, j] for j in range(dim)), sums,
-                        sums[0], sums[1])
+        self.scratch = (m, m[0], m[1], squares, squares[0], squares[1],
+                        sums, sums[0], sums[1])
         # per row and stage: (x, v), v, k = (v, a), a
         self.row_views = [(r[:2], r[1], r[1:], r[2]) for r in self.rows]
         stages = np.empty((3, 3, dim, n))
         self.stage_views = [(s[:2], s[1], s[1:], s[2]) for s in stages]
         self.k2, self.k3, self.k4 = (s[1:] for s in stages)
-        self.k23 = stages[:2, 1:]
+        # doubling k2, k3 doubles their spent stages whole, one block
+        self.stages23 = stages[:2]
+        self.two = np.array(2.0)
         self.set_step(h)
 
     def set_step(self, h: float) -> None:
-        self.coeffs = (0.5 * h, 0.5 * h, h)
-        self.sixth = h / 6.0
+        # 0-d arrays, numpy's fastest scalar operands
+        self.coeffs = tuple(np.array(c) for c in (0.5 * h, 0.5 * h, h))
+        self.sixth = np.array(h / 6.0)
 
     def step(self, i: int) -> None:
         """One step from the state in row i into row i + 1.
@@ -179,17 +181,17 @@ class _RK4:
         _accel(signed, y, v, acc, scratch)
         k = k1
         for (state, sv, sk, sa), c in zip(self.stage_views, self.coeffs):
-            np.multiply(c, k, out=state)
-            state += y
+            np.multiply(c, k, state)
+            np.add(state, y, state)
             _accel(signed, state, sv, sa, scratch)
             k = sk
-        k2 = self.k2
-        self.k23 *= 2.0
-        k2 += k1
-        k2 += self.k3
-        k2 += self.k4
-        k2 *= self.sixth
-        np.add(y, k2, out=self.row_views[i + 1][0])
+        k2, stages23 = self.k2, self.stages23
+        np.multiply(stages23, self.two, stages23)
+        np.add(k2, k1, k2)
+        np.add(k2, self.k3, k2)
+        np.add(k2, self.k4, k2)
+        np.multiply(k2, self.sixth, k2)
+        np.add(y, k2, self.row_views[i + 1][0])
 
 
 def _base_frame(surface: SurfaceSpec, x0: np.ndarray):

@@ -153,38 +153,46 @@ def legendre_weighted_sum(coeffs: np.ndarray, t: np.ndarray, tops=None,
     rows = {l: [i for i, top in enumerate(wanted) if top == l]
             for l in wanted}
     if wanted and wanted[-1] >= 0:
+        top = wanted[-1]
         out = np.zeros(shape)
         out[0] = coeffs[0]
         if 0 in rows:
             sums[:, rows[0]] = out[:, None]
-        # P_{-1} = P_0 = 1 in row 0 and 0 in the derivative rows; each
-        # buffer travels with its views of rows 1.. and of rows ..-1, and
-        # the float steps m and 2m+1 are read off tables
+        # P_{-1} = P_0 = 1 in row 0 and 0 in the derivative rows; a step
+        # takes (prev, cur, cur rows ..-1, next, next rows 1..) off a cycle,
+        # and the ufuncs out positionally and m, 2m+1 as 0-d arrays
         bufs = [np.zeros(shape) for _ in range(3)]
         bufs[0][0] = bufs[1][0] = 1.0
-        p_prev, p, p_next = ((b, b[1:], b[:-1]) for b in bufs)
+        cycle = itertools.cycle([(p, c, c[:-1], n, n[1:]) for p, c, n in (
+            bufs, bufs[1:] + bufs[:1], bufs[2:] + bufs[:2])])
         t_rows = np.broadcast_to(t, shape).copy()
         scratch, lower = np.empty(shape), np.empty((derivs,) + t.shape)
-        steps = np.arange(wanted[-1] + 1, dtype=float)
+        steps = np.arange(top + 1, dtype=float)
         odd = 2.0 * steps + 1.0
-        for m in range(wanted[-1]):
-            (prev, _, _), (cur, _, cur_lo), (nxt, nxt_hi, _) = p_prev, p, p_next
+        # the degrees >= 1 that add a coefficient (1 always) or end a top
+        marks = np.union1d(np.flatnonzero(coeffs[:top + 1]), [1] + wanted)
+        marks = iter(marks[marks >= 1])
+        mark, step = int(next(marks, -1)), steps[0, ...]
+        for m, (prev, cur, cur_lo, nxt, nxt_hi) in zip(range(top), cycle):
             # row 0 takes ((2m+1) t P_m - m P_{m-1}) / (m+1) in that
             # order; m = 0 gives P_1 = t and P'_1 = 1 exactly
-            np.multiply(t_rows, odd[m], out=scratch)
-            np.multiply(cur, scratch, out=nxt)
+            odd_m = odd[m, ...]
+            np.multiply(t_rows, odd_m, scratch)
+            np.multiply(cur, scratch, nxt)
             if derivs:
-                np.multiply(cur_lo, odd[m], out=lower)
-                nxt_hi += lower
-            prev *= steps[m]
-            nxt -= prev
-            nxt /= steps[m + 1]
-            p_prev, p, p_next = p, p_next, p_prev
-            if m == 0 or coeffs[m + 1] != 0.0:
-                np.multiply(p[0], coeffs[m + 1], out=scratch)
-                out += scratch
-            if m + 1 in rows:
-                sums[:, rows[m + 1]] = out[:, None]
+                np.multiply(cur_lo, odd_m, lower)
+                np.add(nxt_hi, lower, nxt_hi)
+            np.multiply(prev, step, prev)
+            np.subtract(nxt, prev, nxt)
+            step = steps[m + 1, ...]
+            np.divide(nxt, step, nxt)
+            if m + 1 == mark:
+                if m == 0 or coeffs[mark] != 0.0:
+                    np.multiply(nxt, coeffs[mark, ...], scratch)
+                    np.add(out, scratch, out)
+                if mark in rows:
+                    sums[:, rows[mark]] = out[:, None]
+                mark = int(next(marks, -1))
         factorials = [math.factorial(k) for k in range(derivs + 1)]
         sums *= np.reshape(factorials, (-1,) + (1,) * (sums.ndim - 1))
     return sums if tops is not None else sums[:, 0]

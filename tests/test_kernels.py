@@ -48,6 +48,7 @@ from specproj.models import (
     torus_modes,
     torus_shells,
 )
+from specproj.remainder import ProbeGrid
 from specproj.special import legendre_weighted_sum, sphere_quadrature
 
 from mp_oracle import (mp_derivative, mp_exp_map, mp_frame,
@@ -580,6 +581,62 @@ class TestSphereDerivBatch:
         assert calls["exp_map"] == 2
         t = calls["legendre"][0]
         assert np.unique(t).size == t.size
+
+    @pytest.mark.parametrize("order", ORDERS, ids=lambda o: f"{o.alpha}{o.beta}")
+    def test_pairs_equal_their_own_evaluation(self, order):
+        # the jets of a side run once per distinct offset at one base
+        # point and per row otherwise; either way every value is bit for
+        # bit the one of its pair evaluated alone.  The rows are shuffled
+        # and repeat, and some differ from others only by -0.0 for 0.0
+        rng = np.random.default_rng(34)
+        grid = rng.uniform(-0.4, 0.4, (7, 2))
+        grid[:5] = [(0.0, 0.3), (-0.0, 0.3), (0.0, 0.0), (-0.0, -0.0),
+                    (0.2, -0.0)]
+        us = grid[rng.permutation(np.arange(16) % 7)]
+        vs = grid[rng.permutation(np.arange(16) % 7)]
+        per_row = self.rng.standard_normal((16, 3))
+        per_row /= np.linalg.norm(per_row, axis=1)[:, None]
+        for xu, xv in ((self.bases[0], self.bases[0]),
+                       (self.bases[1], per_row), (per_row, per_row[::-1])):
+            got = sphere_deriv_batch(self.model, xu, xv, self.profile, us,
+                                     vs, order)
+            alone = [sphere_deriv_batch(
+                self.model, xu if np.ndim(xu) == 1 else xu[i],
+                xv if np.ndim(xv) == 1 else xv[i], self.profile,
+                us[i:i + 1], vs[i:i + 1], order)[0] for i in range(16)]
+            assert bits(got) == bits(alone)
+
+    @pytest.mark.parametrize("order", [DerivOrder.zero(2),
+                                       DerivOrder((1, 0), (1, 0)),
+                                       DerivOrder((2, 1), (0, 1))],
+                             ids=["0", "1:0,1:0", "2:1,0:1"])
+    def test_exp_map_sees_distinct_offsets(self, monkeypatch, order):
+        # at one base point each side's exp map runs on the 25 distinct
+        # offsets of the 625 probe pairs; with one base point per row, on
+        # every row
+        seen = []
+
+        def recorded_exp_map(model, x0, rows):
+            seen.append((np.ndim(x0), rows.shape))
+            return exp_map(model, x0, rows)
+
+        monkeypatch.setattr(kernels, "exp_map", recorded_exp_map)
+        us, vs = ProbeGrid(0.3, 5).pairs(2)
+        vs = vs.copy()
+        vs[vs == 0.0] = -0.0
+        window = SpectralWindow(20.0, 30.0)
+        got = sphere_pair_deriv_batch(self.model, window, self.bases[0], us,
+                                      vs, order)
+        assert seen == [(1, (25, 2)), (1, (25, 2))]
+        seen.clear()
+        coeffs = kernels.sphere_coeffs(sphere_clusters(self.model, window))
+        bases = np.broadcast_to(self.bases[0], (625, 3))
+        rows = sphere_deriv_batch(
+            self.model, bases, bases,
+            lambda t, k: legendre_weighted_sum(coeffs, t, derivs=k), us, vs,
+            order)
+        assert seen == [(2, (625, 2)), (2, (625, 2))]
+        assert bits(got) == bits(rows)
 
     @pytest.mark.parametrize("lam", [50.0, 400.0, 2000.0, 9000.0])
     def test_diagonal_identities_at_high_frequency(self, lam):

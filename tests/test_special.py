@@ -291,6 +291,89 @@ class TestLegendre:
                               np.zeros((3, 2, 2)))
 
 
+
+def ref_legendre_sweep(coeffs, t, tops=None, derivs=0):
+    """legendre_weighted_sum as it ran before its leaner loop, frozen here
+    as the oracle of its bits: augmented operators, float steps read off
+    tables as numpy scalars and a coefficient test at every degree."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    t = np.clip(np.asarray(t, dtype=float), -1.0, 1.0)
+    wanted = [coeffs.size - 1] if tops is None else [int(k) for k in tops]
+    shape = (derivs + 1,) + t.shape
+    sums = np.zeros((derivs + 1, len(wanted)) + t.shape)
+    rows = {l: [i for i, top in enumerate(wanted) if top == l]
+            for l in wanted}
+    if wanted and wanted[-1] >= 0:
+        out = np.zeros(shape)
+        out[0] = coeffs[0]
+        if 0 in rows:
+            sums[:, rows[0]] = out[:, None]
+        bufs = [np.zeros(shape) for _ in range(3)]
+        bufs[0][0] = bufs[1][0] = 1.0
+        p_prev, p, p_next = ((b, b[1:], b[:-1]) for b in bufs)
+        t_rows = np.broadcast_to(t, shape).copy()
+        scratch, lower = np.empty(shape), np.empty((derivs,) + t.shape)
+        steps = np.arange(wanted[-1] + 1, dtype=float)
+        odd = 2.0 * steps + 1.0
+        for m in range(wanted[-1]):
+            (prev, _, _), (cur, _, cur_lo), (nxt, nxt_hi, _) = p_prev, p, p_next
+            np.multiply(t_rows, odd[m], out=scratch)
+            np.multiply(cur, scratch, out=nxt)
+            if derivs:
+                np.multiply(cur_lo, odd[m], out=lower)
+                nxt_hi += lower
+            prev *= steps[m]
+            nxt -= prev
+            nxt /= steps[m + 1]
+            p_prev, p, p_next = p, p_next, p_prev
+            if m == 0 or coeffs[m + 1] != 0.0:
+                np.multiply(p[0], coeffs[m + 1], out=scratch)
+                out += scratch
+            if m + 1 in rows:
+                sums[:, rows[m + 1]] = out[:, None]
+        factorials = [math.factorial(k) for k in range(derivs + 1)]
+        sums *= np.reshape(factorials, (-1,) + (1,) * (sums.ndim - 1))
+    return sums if tops is not None else sums[:, 0]
+
+
+class TestFrozenSweep:
+    # the sweep against ref_legendre_sweep, bit for bit
+    rng = np.random.default_rng(25)
+    T = np.concatenate([[1.0, -1.0, 0.0, -0.0, 1.0 - 2.0 ** -52,
+                         -1.0 + 2.0 ** -52], rng.uniform(-1.0, 1.0, 40)])
+    dense = rng.standard_normal(1501)
+    # a window's few clusters, a zero coefficient at degree 1 included
+    sparse = np.zeros(1501)
+    sparse[[0, 2, 700, 1499, 1500]] = rng.uniform(0.5, 1.0, 5)
+
+    @pytest.mark.parametrize("derivs", range(5))
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    def test_whole_sweep(self, kind, derivs):
+        coeffs = getattr(self, kind)
+        for t in (self.T, self.T.reshape(2, -1), 0.25, -0.0):
+            assert bits(legendre_weighted_sum(coeffs, t, derivs=derivs)) == (
+                bits(ref_legendre_sweep(coeffs, t, derivs=derivs)))
+
+    @pytest.mark.parametrize("tops", [
+        [-1], [-1, -1, 0, 0, 1], [511, 512, 513], [-1, 511, 511, 1500],
+        [0, 2, 511, 512, 512, 513, 700, 1500, 1500]])
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    def test_partial_sums(self, kind, tops):
+        coeffs = getattr(self, kind)
+        for derivs in (0, 2, 4):
+            assert bits(legendre_weighted_sum(coeffs, self.T, tops,
+                                              derivs)) == bits(
+                ref_legendre_sweep(coeffs, self.T, tops, derivs))
+
+    def test_short_and_empty_sweeps(self):
+        for size in (0, 1, 2, 3):
+            coeffs = self.dense[:size]
+            for derivs in (0, 4):
+                assert bits(legendre_weighted_sum(coeffs, self.T,
+                                                  derivs=derivs)) == bits(
+                    ref_legendre_sweep(coeffs, self.T, derivs=derivs))
+
+
 def bits(values) -> list[int]:
     return np.asarray(values, dtype=float).view(np.uint64).ravel().tolist()
 
