@@ -229,7 +229,7 @@ def _offset_jets(model: SphereModel, x0, rows: np.ndarray,
     inverse = slice(None)
     if np.ndim(x0) == 1:
         keys, inverse = np.unique(
-            np.ascontiguousarray(rows).view(complex)[..., 0],
+            np.ascontiguousarray(rows).view(complex).squeeze(-1),
             return_inverse=True)
         inverse = inverse.reshape(rows.shape[:-1])
         rows = keys.view(float).reshape(-1, model.dim)

@@ -170,8 +170,9 @@ def legendre_weighted_sum(coeffs: np.ndarray, t: np.ndarray, tops=None,
         steps = np.arange(top + 1, dtype=float)
         odd = 2.0 * steps + 1.0
         # the degrees >= 1 that add a coefficient (1 always) or end a top
-        marks = np.union1d(np.flatnonzero(coeffs[:top + 1]), [1] + wanted)
-        marks = iter(marks[marks >= 1])
+        marked = coeffs[:top + 1] != 0.0
+        marked[[min(1, top)] + wanted] = True
+        marks = iter(np.flatnonzero(marked[1:]) + 1)
         mark, step = int(next(marks, -1)), steps[0, ...]
         for m, (prev, cur, cur_lo, nxt, nxt_hi) in zip(range(top), cycle):
             # row 0 takes ((2m+1) t P_m - m P_{m-1}) / (m+1) in that

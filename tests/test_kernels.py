@@ -638,6 +638,14 @@ class TestSphereDerivBatch:
         assert seen == [(2, (625, 2)), (2, (625, 2))]
         assert bits(got) == bits(rows)
 
+    def test_misshaped_offsets_refused(self):
+        # rows are read as complex numbers only when they hold two floats
+        for rows in (np.zeros((3, 4)), np.zeros((3, 3)), np.zeros((3, 1))):
+            with pytest.raises(ValueError):
+                sphere_deriv_batch(self.model, self.bases[0], self.bases[0],
+                                   self.profile, rows, rows,
+                                   DerivOrder.zero(2))
+
     @pytest.mark.parametrize("lam", [50.0, 400.0, 2000.0, 9000.0])
     def test_diagonal_identities_at_high_frequency(self, lam):
         # with F = sum_l c_l P_l and F'(1) = sum_l c_l l(l+1)/2: at u = v,
