@@ -291,7 +291,6 @@ class TestLegendre:
                               np.zeros((3, 2, 2)))
 
 
-
 def ref_legendre_sweep(coeffs, t, tops=None, derivs=0):
     """legendre_weighted_sum as it ran before its leaner loop, frozen here
     as the oracle of its bits: augmented operators, float steps read off
